@@ -66,7 +66,7 @@ func mainErr() error {
 	var (
 		benchName = flag.String("bench", "hwb8", "benchmark circuit for the latency workload (see rcgp -list)")
 		reps      = flag.Int("reps", 40, "queries per mode (a 2:1 mix of equivalence proofs and refutations)")
-		provers   = flag.Int("provers", 4, "portfolio roster size for the racing mode")
+		provers   = flag.Int("provers", 2, "portfolio roster size for the racing mode (2 races the BDD prover beside the authority)")
 		bddBudget = flag.Int("bdd-budget", 0, "node budget of the portfolio's BDD prover (0 = default)")
 		outPath   = flag.String("o", "results/BENCH_cec.json", "output JSON path (latency mode)")
 		identity  = flag.Bool("identity", false, "run the portfolio on/off determinism sweep over the benchmark suite instead")

@@ -52,7 +52,7 @@ func main() {
 		flightEvery   = flag.Int("flight-every", 500, "default flight-recorder cadence in generations (negative: off unless a request asks)")
 		templates     = flag.String("templates", "starter", "template library: 'starter' (shipped), a JSONL path, or 'off'")
 		templatesOut  = flag.String("templates-out", "", "persist the (possibly grown) template library here on shutdown")
-		cecProv       = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only)")
+		cecProv       = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only, 2 = also a budgeted BDD prover)")
 		cecBDD        = flag.Int("cec-bdd-budget", 0, "node budget of the portfolio's BDD prover (0 = default)")
 		flightCap     = flag.Int("flight-cap", 2048, "flight samples retained per job for /jobs/{id}/progress")
 		debugAddr     = flag.String("debug-addr", "", "serve pprof and expvar on this extra address (e.g. localhost:6060); keep it private")

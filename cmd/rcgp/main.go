@@ -50,9 +50,8 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 1, "goroutines evaluating offspring concurrently (0 = NumCPU); deterministic per seed")
 		islands   = flag.Int("islands", 1, "independent (1+λ) populations with periodic ring migration")
-		increment = flag.Bool("incremental", false, "incremental offspring evaluation (dirty-cone re-simulation + phenotype dedup); same result per seed")
 		budget    = flag.Duration("time", 0, "wall-clock budget for the evolution (0 = none)")
-		cecProv   = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only; verdicts and circuits are identical either way)")
+		cecProv   = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only, 2 = also a budgeted BDD prover; verdicts and circuits are identical either way)")
 		cecBDD    = flag.Int("cec-bdd-budget", 0, "node budget of the portfolio's BDD prover (0 = default)")
 		templates = flag.String("templates", "", "template library for search-free rewriting: 'starter' (shipped), a JSONL path, or empty for none")
 		initOnly  = flag.Bool("init-only", false, "stop after initialization (baseline)")
@@ -116,7 +115,6 @@ func run() error {
 		Seed:               *seed,
 		Workers:            *workers,
 		Islands:            *islands,
-		Incremental:        *increment,
 		TimeBudget:         *budget,
 		InitializationOnly: *initOnly,
 		WindowRounds:       *windows,

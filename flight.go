@@ -23,9 +23,9 @@ type FlightSample struct {
 	Buffers int `json:"buffers"`
 	Depth   int `json:"depth"`
 	JJs     int `json:"jjs"`
-	// Evaluation-path split: full re-simulations, dirty-cone incremental
-	// re-simulations, and phenotype-dedup fitness inheritances (the latter
-	// two are zero unless Options.Incremental is on).
+	// Evaluation-path split: full re-simulations (the initial parent and
+	// stale-parent fallbacks), dirty-cone incremental re-simulations, and
+	// phenotype-dedup fitness inheritances.
 	FullEvals        int64 `json:"full_evals"`
 	IncrementalEvals int64 `json:"incremental_evals"`
 	DedupSkips       int64 `json:"dedup_skips"`

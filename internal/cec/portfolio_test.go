@@ -19,16 +19,16 @@ func corruptPOs(n *rqfp.Netlist) *rqfp.Netlist {
 }
 
 // TestPortfolioVerdictIdentity is the determinism core of the racing
-// layer: on the same query, a 1-prover and a 4-prover portfolio must
+// layer: on the same query, a 1-prover and a 2-prover portfolio must
 // return the identical outcome AND the identical counterexample bits (the
 // authority's model), however the racers are scheduled. Run under -race
-// this also exercises the cancellation rings.
+// this also exercises the race cancellation.
 func TestPortfolioVerdictIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
 		a, n := buildPair(16, 60, 3, r)
 		solo := NewPortfolio(a.Cleanup(), PortfolioConfig{Provers: 1})
-		raced := NewPortfolio(a.Cleanup(), PortfolioConfig{Provers: 4})
+		raced := NewPortfolio(a.Cleanup(), PortfolioConfig{Provers: 2})
 		for _, cand := range []*rqfp.Netlist{n, corruptPOs(n)} {
 			want := solo.Prove(context.Background(), cand)
 			// Repeat the raced query: every run must match the solo verdict
@@ -57,8 +57,8 @@ func TestPortfolioEngineAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	a, n := buildPair(16, 50, 2, r)
 	pf := NewPortfolio(a.Cleanup(), PortfolioConfig{Provers: 4})
-	if pf.NumProvers() != 4 {
-		t.Fatalf("NumProvers = %d, want 4", pf.NumProvers())
+	if pf.NumProvers() != 2 {
+		t.Fatalf("NumProvers = %d, want 2 (clamped)", pf.NumProvers())
 	}
 	const queries = 3
 	for i := 0; i < queries; i++ {
@@ -67,8 +67,8 @@ func TestPortfolioEngineAccounting(t *testing.T) {
 		}
 	}
 	engines := pf.Engines()
-	if len(engines) != 4 {
-		t.Fatalf("Engines() returned %d entries", len(engines))
+	if len(engines) != 2 || engines[1].Name != AuxEngine {
+		t.Fatalf("Engines() = %+v, want [sat bdd]", engines)
 	}
 	if engines[0].Name != AuthorityEngine {
 		t.Fatalf("priority head is %q, want the authority", engines[0].Name)
@@ -86,9 +86,8 @@ func TestPortfolioEngineAccounting(t *testing.T) {
 	}
 }
 
-// TestPortfolioRosterSelection pins the priority-order rules: authority
-// always first, Order reorders the auxiliaries, unknown names are dropped,
-// oversized rosters clamp.
+// TestPortfolioRosterSelection pins the roster rules: the authority alone
+// below 2 provers, authority then BDD from 2 up, oversized rosters clamp.
 func TestPortfolioRosterSelection(t *testing.T) {
 	cases := []struct {
 		cfg  PortfolioConfig
@@ -97,9 +96,8 @@ func TestPortfolioRosterSelection(t *testing.T) {
 		{PortfolioConfig{}, []string{"sat"}},
 		{PortfolioConfig{Provers: 1}, []string{"sat"}},
 		{PortfolioConfig{Provers: 2}, []string{"sat", "bdd"}},
-		{PortfolioConfig{Provers: 4}, []string{"sat", "bdd", "sat_r1", "sat_r2"}},
-		{PortfolioConfig{Provers: 99}, []string{"sat", "bdd", "sat_r1", "sat_r2", "sat_r3"}},
-		{PortfolioConfig{Provers: 3, Order: []string{"sat_r2", "bogus", "bdd"}}, []string{"sat", "sat_r2", "bdd"}},
+		{PortfolioConfig{Provers: 4}, []string{"sat", "bdd"}},
+		{PortfolioConfig{Provers: 99}, []string{"sat", "bdd"}},
 	}
 	for i, c := range cases {
 		got := c.cfg.EngineNames()
@@ -121,7 +119,7 @@ func TestPortfolioAborts(t *testing.T) {
 	a, n := buildPair(16, 60, 3, r)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, provers := range []int{1, 4} {
+	for _, provers := range []int{1, 2} {
 		pf := NewPortfolio(a.Cleanup(), PortfolioConfig{Provers: provers})
 		res := pf.Prove(ctx, n)
 		if res.Outcome != OutcomeUnknown || res.Err == nil {
@@ -149,7 +147,7 @@ func TestSpecPortfolioDeterministicCex(t *testing.T) {
 	}
 	want := query(1)
 	for rep := 0; rep < 5; rep++ {
-		got := query(4)
+		got := query(2)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("rep %d: adopted cex diverged from the single-prover run at bit %d", rep, i)
@@ -184,11 +182,11 @@ func constZeroNetlist16() *rqfp.Netlist {
 func TestNetlistsEquivalentPortfolio(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	_, n := buildPair(16, 50, 3, r)
-	res := NetlistsEquivalentPortfolio(context.Background(), n, n.Clone(), PortfolioConfig{Provers: 4})
+	res := NetlistsEquivalentPortfolio(context.Background(), n, n.Clone(), PortfolioConfig{Provers: 2})
 	if res.Outcome != OutcomeEquivalent {
 		t.Fatalf("clone not equivalent: %v (err %v)", res.Outcome, res.Err)
 	}
-	res = NetlistsEquivalentPortfolio(context.Background(), n, corruptPOs(n), PortfolioConfig{Provers: 4})
+	res = NetlistsEquivalentPortfolio(context.Background(), n, corruptPOs(n), PortfolioConfig{Provers: 2})
 	if res.Outcome != OutcomeNotEquivalent {
 		t.Fatalf("corrupted clone not refuted: %v (err %v)", res.Outcome, res.Err)
 	}

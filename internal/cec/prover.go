@@ -9,7 +9,6 @@ package cec
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,18 +70,15 @@ type Prover interface {
 }
 
 // satProver proves by CDCL on a Tseitin miter of the candidate against the
-// spec AIG — the legacy satCheck body behind the Prover interface, now
-// parameterized by solver options so seeded replicas can race.
+// spec AIG — the legacy satCheck body behind the Prover interface.
 type satProver struct {
-	name string
 	spec *aig.AIG
-	opts sat.Options
 }
 
-func (p *satProver) Name() string { return p.name }
+func (p *satProver) Name() string { return AuthorityEngine }
 
 func (p *satProver) Prove(ctx context.Context, n *rqfp.Netlist) ProveResult {
-	b := cnf.NewBuilderOpts(p.opts)
+	b := cnf.NewBuilder()
 	b.S.SetContext(ctx)
 	pis := make([]sat.Lit, p.spec.NumPIs())
 	for i := range pis {
@@ -125,7 +121,7 @@ type bddProver struct {
 	budget int
 }
 
-func (p *bddProver) Name() string { return "bdd" }
+func (p *bddProver) Name() string { return AuxEngine }
 
 func (p *bddProver) Prove(ctx context.Context, n *rqfp.Netlist) ProveResult {
 	if err := ctx.Err(); err != nil {
@@ -141,42 +137,24 @@ func (p *bddProver) Prove(ctx context.Context, n *rqfp.Netlist) ProveResult {
 	return ProveResult{Outcome: OutcomeNotEquivalent}
 }
 
-// AuthorityEngine is the name of the default-options CDCL instance every
-// portfolio runs. It is the fixed head of the priority order and the sole
-// source of adopted counterexamples.
+// AuthorityEngine is the name of the CDCL instance every portfolio runs.
+// It is the fixed head of the priority order and the sole source of
+// adopted counterexamples.
 const AuthorityEngine = "sat"
 
-// AuxEngineNames lists the optional racing engines in default priority
-// order: the budgeted BDD comparator, then seeded CDCL replicas with
-// diverse restart intervals, branching jitter, and phase policies.
-func AuxEngineNames() []string {
-	return []string{"bdd", "sat_r1", "sat_r2", "sat_r3"}
-}
-
-// auxOptions returns the solver options of the seeded CDCL replicas, keyed
-// by engine name. The constants are arbitrary but frozen: changing them
-// changes every seeded trajectory.
-func auxOptions() map[string]sat.Options {
-	return map[string]sat.Options{
-		"sat_r1": {RestartInterval: 50, BranchSeed: 0xA5F1, PhaseInit: sat.PhaseRandom},
-		"sat_r2": {RestartInterval: 200, BranchSeed: 0xC3D7, PhaseInit: sat.PhaseTrue},
-		"sat_r3": {RestartInterval: 400, BranchSeed: 0x9E37, PhaseInit: sat.PhaseRandom},
-	}
-}
+// AuxEngine is the name of the one racing engine beside the authority:
+// the budgeted BDD comparator.
+const AuxEngine = "bdd"
 
 // PortfolioConfig selects the racing roster for a Portfolio.
 type PortfolioConfig struct {
 	// Provers is the total number of engines raced per query. 0 or 1 runs
 	// only the authority CDCL instance — the legacy single-prover path
-	// with no extra goroutines. Values above 1+len(AuxEngineNames()) are
-	// clamped.
+	// with no extra goroutines. 2 or more races the authority against the
+	// BDD prover; larger values are clamped to 2.
 	Provers int
 	// BDDBudget bounds the BDD prover's node count (0 = DefaultBDDBudget).
 	BDDBudget int
-	// Order overrides the auxiliary priority: names from AuxEngineNames in
-	// preference order. Unknown names are ignored; omitted engines are
-	// appended in default order. The authority is always first regardless.
-	Order []string
 	// Scope, when non-empty, receives per-engine latency histograms
 	// (cec.engine_<name>_latency) and the per-query verdict histogram
 	// (cec.verdict_latency).
@@ -187,36 +165,10 @@ type PortfolioConfig struct {
 // first — which is also the deterministic priority order. Useful for
 // pre-registering metrics before any query runs.
 func (cfg PortfolioConfig) EngineNames() []string {
-	names := []string{AuthorityEngine}
-	want := cfg.Provers - 1
-	for _, name := range selectAux(cfg.Order) {
-		if want <= 0 {
-			break
-		}
-		names = append(names, name)
-		want--
+	if cfg.Provers >= 2 {
+		return []string{AuthorityEngine, AuxEngine}
 	}
-	return names
-}
-
-// selectAux resolves a user preference list against the known engines:
-// recognized names first (deduplicated, in given order), then the
-// remaining defaults.
-func selectAux(order []string) []string {
-	known := map[string]bool{}
-	for _, name := range AuxEngineNames() {
-		known[name] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, name := range append(append([]string{}, order...), AuxEngineNames()...) {
-		if !known[name] || seen[name] {
-			continue
-		}
-		seen[name] = true
-		out = append(out, name)
-	}
-	return out
+	return []string{AuthorityEngine}
 }
 
 // EngineStat is one engine's cumulative record across a portfolio's
@@ -239,20 +191,20 @@ type engineCounters struct {
 	timeNS                         atomic.Int64
 }
 
-// Portfolio races a fixed roster of provers per equivalence query.
+// Portfolio races the authority CDCL instance, optionally against the
+// budgeted BDD prover, per equivalence query.
 //
 // Determinism contract: the adopted verdict and counterexample are always
 // the authority engine's whenever it completes, regardless of which racer
-// finished first. Auxiliary engines may only (a) supply an *equivalence*
-// verdict when the authority was cancelled out from under the query —
-// sound engines agree on verdicts, and a proof carries no model to adopt —
-// and (b) cancel each other on refutation while the authority runs to its
-// own model. Per-seed search trajectories therefore stay bit-identical
-// under AddCounterexample widening for any roster size.
+// finished first. The BDD prover may only supply an *equivalence* verdict
+// when the authority was cancelled out from under the query — sound
+// engines agree on verdicts, and a proof carries no model to adopt. Per-seed
+// search trajectories therefore stay bit-identical under AddCounterexample
+// widening for either roster.
 type Portfolio struct {
 	authority Prover
-	aux       []Prover
-	names     []string // authority first, then aux in priority order
+	aux       Prover   // nil when the authority runs alone
+	names     []string // authority first, then aux
 	counters  map[string]*engineCounters
 	scope     *obs.Scope
 }
@@ -265,37 +217,22 @@ func NewPortfolio(spec *aig.AIG, cfg PortfolioConfig) *Portfolio {
 		budget = DefaultBDDBudget
 	}
 	pf := &Portfolio{
-		authority: &satProver{name: AuthorityEngine, spec: spec},
+		authority: &satProver{spec: spec},
+		names:     cfg.EngineNames(),
 		counters:  map[string]*engineCounters{},
 		scope:     cfg.Scope,
 	}
-	opts := auxOptions()
-	for _, name := range cfg.EngineNames()[1:] {
-		var p Prover
-		if name == "bdd" {
-			p = &bddProver{spec: spec, budget: budget}
-		} else {
-			p = &satProver{name: name, spec: spec, opts: opts[name]}
-		}
-		pf.aux = append(pf.aux, p)
+	if len(pf.names) > 1 {
+		pf.aux = &bddProver{spec: spec, budget: budget}
 	}
-	pf.names = append([]string{AuthorityEngine}, namesOf(pf.aux)...)
 	for _, name := range pf.names {
 		pf.counters[name] = &engineCounters{}
 	}
 	return pf
 }
 
-func namesOf(ps []Prover) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name()
-	}
-	return out
-}
-
 // NumProvers returns the roster size (authority included).
-func (pf *Portfolio) NumProvers() int { return 1 + len(pf.aux) }
+func (pf *Portfolio) NumProvers() int { return len(pf.names) }
 
 // Engines returns the cumulative per-engine records in priority order.
 func (pf *Portfolio) Engines() []EngineStat {
@@ -346,64 +283,51 @@ func (pf *Portfolio) Prove(ctx context.Context, n *rqfp.Netlist) ProveResult {
 }
 
 func (pf *Portfolio) prove(ctx context.Context, n *rqfp.Netlist) ProveResult {
-	if len(pf.aux) == 0 {
+	if pf.aux == nil {
 		start := time.Now()
 		res := pf.authority.Prove(ctx, n)
 		pf.record(AuthorityEngine, res, time.Since(start), res.Outcome != OutcomeUnknown)
 		return res
 	}
 
-	// Two cancellation rings: proving equivalence stops everyone (any
-	// sound engine's proof settles the verdict), refuting only stops the
-	// other auxiliaries — the authority must run to its own model so the
-	// adopted counterexample never depends on racing order.
-	raceCtx, cancelAll := context.WithCancel(ctx)
-	auxCtx, cancelAux := context.WithCancel(raceCtx)
-	defer cancelAll()
-
-	var auxWin atomic.Int32 // 1+index of the first aux engine proving equivalence
-	results := make([]ProveResult, len(pf.aux))
-	times := make([]time.Duration, len(pf.aux))
-	var wg sync.WaitGroup
-	for i, p := range pf.aux {
-		wg.Add(1)
-		go func(i int, p Prover) {
-			defer wg.Done()
-			t0 := time.Now()
-			res := p.Prove(auxCtx, n)
-			times[i] = time.Since(t0)
-			results[i] = res
-			switch res.Outcome {
-			case OutcomeEquivalent:
-				auxWin.CompareAndSwap(0, int32(i+1))
-				cancelAll()
-			case OutcomeNotEquivalent:
-				cancelAux()
-			}
-		}(i, p)
-	}
+	// An auxiliary equivalence proof stops the authority (any sound
+	// engine's proof settles the verdict); an auxiliary refutation does
+	// not — the authority must run to its own model so the adopted
+	// counterexample never depends on racing order.
+	raceCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var auxRes ProveResult
+	var auxTime time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t0 := time.Now()
+		auxRes = pf.aux.Prove(raceCtx, n)
+		auxTime = time.Since(t0)
+		if auxRes.Outcome == OutcomeEquivalent {
+			cancel()
+		}
+	}()
 	t0 := time.Now()
 	authRes := pf.authority.Prove(raceCtx, n)
 	authTime := time.Since(t0)
-	cancelAux()
-	wg.Wait()
+	cancel()
+	<-done
 
 	final := authRes
 	winner := AuthorityEngine
 	if authRes.Outcome == OutcomeUnknown {
-		if w := auxWin.Load(); w != 0 {
-			// The authority was cancelled by an auxiliary equivalence
-			// proof. Adopt it; keep the authority's partial CDCL counters
-			// for the effort accounting.
-			winner = pf.aux[w-1].Name()
+		if auxRes.Outcome == OutcomeEquivalent {
+			// The authority was cancelled by the auxiliary proof. Adopt it;
+			// keep the authority's partial CDCL counters for the effort
+			// accounting.
+			winner = pf.aux.Name()
 			final = ProveResult{Outcome: OutcomeEquivalent, SAT: authRes.SAT}
 		} else {
 			winner = ""
 		}
 	}
 	pf.record(AuthorityEngine, authRes, authTime, winner == AuthorityEngine)
-	for i, p := range pf.aux {
-		pf.record(p.Name(), results[i], times[i], p.Name() == winner)
-	}
+	pf.record(pf.aux.Name(), auxRes, auxTime, pf.aux.Name() == winner)
 	return final
 }

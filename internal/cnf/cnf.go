@@ -16,13 +16,7 @@ type Builder struct {
 
 // NewBuilder wraps a fresh solver and allocates the constant-true literal.
 func NewBuilder() *Builder {
-	return NewBuilderOpts(sat.Options{})
-}
-
-// NewBuilderOpts is NewBuilder over a solver with the given heuristic
-// options — the entry point for seeded portfolio instances.
-func NewBuilderOpts(opt sat.Options) *Builder {
-	s := sat.NewSolver(opt)
+	s := sat.New()
 	ct := sat.MkLit(s.NewVar(), false)
 	s.AddClause(ct)
 	return &Builder{S: s, ConstTrue: ct}

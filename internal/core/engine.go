@@ -60,8 +60,12 @@ type engine struct {
 	// every adoption and accepted migration so worker-local DeltaEvaluators
 	// know when their resident parent simulation is out of date.
 	parentEpoch uint64
-	// incremental is true when Options.Incremental is set and the evaluator
-	// supports delta evaluation.
+	// incremental is true when the evaluator supports delta evaluation
+	// (SpecEvaluator does): offspring whose phenotype provably equals the
+	// parent's inherit its fitness without simulation, and all others are
+	// scored by re-simulating only the fan-out cone of the mutated genes
+	// against the parent's resident port vectors. The trajectory is
+	// bit-identical per seed to scoring every offspring with Evaluate.
 	incremental bool
 
 	slots []*evalSlot
@@ -86,7 +90,7 @@ type engine struct {
 	pendingCex [][]bool
 
 	hists    []obs.HistogramSet // per-worker eval latency, nil entries when unmetered
-	coneHist obs.HistogramSet   // dirty-cone size distribution (incremental mode)
+	coneHist obs.HistogramSet   // dirty-cone size distribution
 
 	// Live search gauges, refreshed at the progress/flight cadence (no-op
 	// sets when no metrics scope is attached).
@@ -112,9 +116,7 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 	if opt.FlightEvery > 0 {
 		e.flight = newFlightRing(opt.FlightCap)
 	}
-	if _, ok := ev.(DeltaEvaluator); ok && opt.Incremental {
-		e.incremental = true
-	}
+	_, e.incremental = ev.(DeltaEvaluator)
 	e.parent = initial
 	out := ev.Evaluate(context.Background(), e.parent.net)
 	e.tel.Evaluations++

@@ -44,16 +44,6 @@ type Options struct {
 	// MigrateEvery is the island epoch length in generations between
 	// migrations (Islands > 1 only). Default 500.
 	MigrateEvery int
-	// Incremental enables the incremental offspring-evaluation engine when
-	// the evaluator supports it (SpecEvaluator does): offspring whose
-	// phenotype provably equals the parent's inherit its fitness without
-	// simulation, and all others are scored by re-simulating only the
-	// fan-out cone of the mutated genes against the parent's resident port
-	// vectors, with a word-level early exit once a refutation is certain.
-	// The search trajectory — every adopted parent, counterexample, and the
-	// final netlist — is bit-identical per seed to the full path; only the
-	// throughput changes. Default off.
-	Incremental bool
 	// TimeBudget optionally bounds wall-clock time (0 = unlimited). It is
 	// implemented as a context deadline, so it also interrupts in-flight
 	// SAT proofs.

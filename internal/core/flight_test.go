@@ -83,13 +83,13 @@ func TestFlightRecorderSamplesTrajectory(t *testing.T) {
 func TestFlightRecorderPreservesDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		spec1, n1 := buildCase(decoderTables())
-		plain, err := Optimize(n1, spec1, Options{Generations: 500, Seed: 9, Workers: workers, Incremental: true})
+		plain, err := Optimize(n1, spec1, Options{Generations: 500, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec2, n2 := buildCase(decoderTables())
 		recorded, err := Optimize(n2, spec2, Options{
-			Generations: 500, Seed: 9, Workers: workers, Incremental: true,
+			Generations: 500, Seed: 9, Workers: workers,
 			FlightEvery: 7, FlightCap: 16,
 		})
 		if err != nil {
@@ -112,7 +112,7 @@ func TestScopeMetricsDoubleWrite(t *testing.T) {
 	jobReg, globalReg := obs.NewRegistry(), obs.NewRegistry()
 	spec, n := buildCase(decoderTables())
 	res, err := Optimize(n, spec, Options{
-		Generations: 300, Seed: 3, Incremental: true,
+		Generations: 300, Seed: 3,
 		Metrics:     obs.NewScope(jobReg, globalReg),
 		FlightEvery: 50,
 	})

@@ -14,7 +14,35 @@ import (
 // parents — and therefore the final netlist, fitness, and every
 // deterministic counter except the full/incremental/dedup split — is
 // bit-identical to the full reference path. These tests are the
-// differential gate for that contract.
+// differential gate for that contract: the production engine (which takes
+// the delta path for every SpecEvaluator) against fullPath, which scores
+// every offspring with SpecEvaluator.Evaluate.
+
+// fullPath hides EvaluateDelta and SyncParent from the engine, so every
+// offspring goes through the full reference SpecEvaluator.Evaluate path.
+type fullPath struct{ ev *SpecEvaluator }
+
+func (f fullPath) Evaluate(ctx context.Context, n *rqfp.Netlist) Outcome {
+	return f.ev.Evaluate(ctx, n)
+}
+func (f fullPath) Fork() Evaluator  { return fullPath{f.ev.Fork().(*SpecEvaluator)} }
+func (f fullPath) Learn(cex []bool) { f.ev.Learn(cex) }
+func (f fullPath) FlushStats()      { f.ev.FlushStats() }
+
+// optimizeWith runs the engine on n against spec with the production
+// evaluator, or with the full-path reference when full is set.
+func optimizeWith(t *testing.T, n *rqfp.Netlist, spec *cec.Spec, full bool, opt Options) *Result {
+	t.Helper()
+	var ev Evaluator = NewSpecEvaluator(spec)
+	if full {
+		ev = fullPath{NewSpecEvaluator(spec)}
+	}
+	res, err := OptimizeWithEvaluator(context.Background(), n, ev, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func fullAdderTables() []tt.TT {
 	sum := tt.FromFunc(3, func(s uint) bool { return (s&1+s>>1&1+s>>2&1)%2 == 1 })
@@ -22,10 +50,10 @@ func fullAdderTables() []tt.TT {
 	return []tt.TT{sum, cout}
 }
 
-func runMode(t *testing.T, tables []tt.TT, incremental bool, workers, islands int, seed int64) *Result {
+func runMode(t *testing.T, tables []tt.TT, full bool, workers, islands int, seed int64) *Result {
 	t.Helper()
 	spec, n := buildCase(tables)
-	res, err := Optimize(n, spec, Options{
+	return optimizeWith(t, n, spec, full, Options{
 		Generations:  1200,
 		Lambda:       8,
 		MutationRate: 0.15,
@@ -33,19 +61,18 @@ func runMode(t *testing.T, tables []tt.TT, incremental bool, workers, islands in
 		Workers:      workers,
 		Islands:      islands,
 		MigrateEvery: 300,
-		Incremental:  incremental,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
-// assertSameTrajectory compares everything that must match between modes:
-// the evolved circuit, its fitness, and all deterministic counters except
-// the evaluation-path split.
+// assertSameTrajectory compares everything that must match between the
+// full-path reference and the production engine: the evolved circuit, its
+// fitness, and all deterministic counters except the evaluation-path split.
+// It also checks that the reference really scored every offspring in full.
 func assertSameTrajectory(t *testing.T, full, inc *Result, label string) {
 	t.Helper()
+	if tf := full.Telemetry; tf.FullEvals != tf.Evaluations {
+		t.Fatalf("%s: reference run left the full path: FullEvals %d != Evaluations %d", label, tf.FullEvals, tf.Evaluations)
+	}
 	if full.Fitness != inc.Fitness {
 		t.Fatalf("%s: fitness diverged: full %+v, incremental %+v", label, full.Fitness, inc.Fitness)
 	}
@@ -72,27 +99,30 @@ func TestIncrementalMatchesFullTrajectory(t *testing.T) {
 		{"workers4", 4, 1},
 		{"islands3", 4, 3},
 	} {
-		full := runMode(t, decoderTables(), false, c.workers, c.islands, 42)
-		inc := runMode(t, decoderTables(), true, c.workers, c.islands, 42)
+		full := runMode(t, decoderTables(), true, c.workers, c.islands, 42)
+		inc := runMode(t, decoderTables(), false, c.workers, c.islands, 42)
 		assertSameTrajectory(t, full, inc, c.label)
 	}
 }
 
 func TestIncrementalMatchesFullAdder(t *testing.T) {
-	full := runMode(t, fullAdderTables(), false, 1, 1, 3)
-	inc := runMode(t, fullAdderTables(), true, 1, 1, 3)
+	full := runMode(t, fullAdderTables(), true, 1, 1, 3)
+	inc := runMode(t, fullAdderTables(), false, 1, 1, 3)
 	assertSameTrajectory(t, full, inc, "full_adder")
 }
 
+// TestIncrementalTelemetrySplit pins the evaluation-path split: the
+// default engine's three counters add up to Evaluations, and the full-path
+// reference reports every evaluation as full.
 func TestIncrementalTelemetrySplit(t *testing.T) {
-	inc := runMode(t, decoderTables(), true, 1, 1, 42)
+	inc := runMode(t, decoderTables(), false, 1, 1, 42)
 	tel := inc.Telemetry
 	if got := tel.DedupSkips + tel.IncrementalEvals + tel.FullEvals; got != tel.Evaluations {
 		t.Fatalf("split %d+%d+%d = %d != Evaluations %d",
 			tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals, got, tel.Evaluations)
 	}
 	if tel.IncrementalEvals == 0 {
-		t.Fatal("incremental mode never took the delta path")
+		t.Fatal("the default engine never took the delta path")
 	}
 	if tel.DedupSkips == 0 {
 		t.Fatal("no offspring was ever deduplicated against its parent (expected for no-op and inactive-gene mutations)")
@@ -101,13 +131,13 @@ func TestIncrementalTelemetrySplit(t *testing.T) {
 		tel.Evaluations, tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals,
 		float64(tel.ConeGates)/float64(tel.IncrementalEvals))
 
-	full := runMode(t, decoderTables(), false, 1, 1, 42)
+	full := runMode(t, decoderTables(), true, 1, 1, 42)
 	tf := full.Telemetry
 	if tf.DedupSkips != 0 || tf.IncrementalEvals != 0 || tf.ConeGates != 0 {
-		t.Fatalf("full mode reported incremental counters: %+v", tf)
+		t.Fatalf("full path reported incremental counters: %+v", tf)
 	}
 	if tf.FullEvals != tf.Evaluations {
-		t.Fatalf("full mode: FullEvals %d != Evaluations %d", tf.FullEvals, tf.Evaluations)
+		t.Fatalf("full path: FullEvals %d != Evaluations %d", tf.FullEvals, tf.Evaluations)
 	}
 }
 
@@ -148,22 +178,17 @@ func TestIncrementalNonExhaustive(t *testing.T) {
 		}
 		return cec.NewSpecFromNetlist(n, 2, 1), n
 	}
-	run := func(incremental bool) *Result {
+	run := func(full bool) *Result {
 		spec, n := build()
-		res, err := Optimize(n, spec, Options{
+		return optimizeWith(t, n, spec, full, Options{
 			Generations:  400,
 			Lambda:       4,
 			MutationRate: 0.1,
 			Seed:         11,
-			Incremental:  incremental,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
-	full := run(false)
-	inc := run(true)
+	full := run(true)
+	inc := run(false)
 	assertSameTrajectory(t, full, inc, "non_exhaustive")
 }
 

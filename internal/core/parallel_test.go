@@ -18,10 +18,10 @@ import (
 // in offspring order. These tests are the -race regression suite for that
 // contract.
 
-func optimizeCombined(t *testing.T, workers, islands int, incremental bool) *Result {
+func optimizeCombined(t *testing.T, workers, islands int, full bool) *Result {
 	t.Helper()
 	spec, n := buildCase(decoderTables())
-	res, err := Optimize(n, spec, Options{
+	return optimizeWith(t, n, spec, full, Options{
 		Generations:  1500,
 		Lambda:       8,
 		MutationRate: 0.15,
@@ -29,12 +29,7 @@ func optimizeCombined(t *testing.T, workers, islands int, incremental bool) *Res
 		Workers:      workers,
 		Islands:      islands,
 		MigrateEvery: 250,
-		Incremental:  incremental,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 func optimizeWithWorkers(t *testing.T, workers, islands int) *Result {
@@ -84,8 +79,11 @@ func TestIslandDeterministicPerSeed(t *testing.T) {
 // parent re-syncs, and migration barriers may not leak into the result.
 // Run under -race it also stresses the lock-free snapshot protocol.
 func TestCombinedModesDeterminism(t *testing.T) {
-	base := optimizeCombined(t, 1, 3, false)
-	combined := optimizeCombined(t, 8, 3, true)
+	base := optimizeCombined(t, 1, 3, true)
+	if tel := base.Telemetry; tel.FullEvals != tel.Evaluations {
+		t.Fatalf("reference run left the full path: FullEvals %d != Evaluations %d", tel.FullEvals, tel.Evaluations)
+	}
+	combined := optimizeCombined(t, 8, 3, false)
 	if combined.Fitness != base.Fitness {
 		t.Fatalf("combined-mode fitness %+v != sequential full-eval fitness %+v", combined.Fitness, base.Fitness)
 	}
@@ -102,7 +100,7 @@ func TestCombinedModesDeterminism(t *testing.T) {
 	}
 	// And the whole thing must be repeatable bit-for-bit, telemetry splits
 	// included.
-	again := optimizeCombined(t, 8, 3, true)
+	again := optimizeCombined(t, 8, 3, false)
 	ta, tb := combined.Telemetry, again.Telemetry
 	ta.Elapsed, tb.Elapsed = 0, 0 // only the wall clock may differ
 	if ta != tb {
@@ -148,7 +146,6 @@ func optimizePortfolio(t *testing.T, workers, provers int) *Result {
 		MutationRate: 0.1,
 		Seed:         42,
 		Workers:      workers,
-		Incremental:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +158,14 @@ func optimizePortfolio(t *testing.T, workers, provers int) *Result {
 
 // TestCombinedModesDeterminismPortfolio extends the combined-modes
 // determinism contract to the racing prover portfolio on a SAT-regime
-// spec: the same seed with 1 vs 4 racing provers (and 1 vs 4 workers)
+// spec: the same seed with 1 vs 2 racing provers (and 1 vs 4 workers)
 // must evolve the bit-identical final netlist with identical telemetry
 // eval splits — racing may change latency, never a trajectory. Under
-// -race it also stresses the cancellation rings against the search's own
+// -race it also stresses the race cancellation against the search's own
 // goroutines.
 func TestCombinedModesDeterminismPortfolio(t *testing.T) {
 	base := optimizePortfolio(t, 1, 1)
-	raced := optimizePortfolio(t, 4, 4)
+	raced := optimizePortfolio(t, 4, 2)
 	if raced.Fitness != base.Fitness {
 		t.Fatalf("racing portfolio changed the fitness: %+v != %+v", raced.Fitness, base.Fitness)
 	}

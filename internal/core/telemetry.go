@@ -112,11 +112,12 @@ type Telemetry struct {
 	Migrations         int64
 	MigrationsAccepted int64
 	// DedupSkips, IncrementalEvals, and FullEvals split Evaluations by how
-	// the incremental engine scored each offspring: inherited from the
-	// parent because the phenotype is identical, scored by dirty-cone
-	// re-simulation, or scored by the full reference path (always, when
-	// Options.Incremental is off). Evaluations counts all three, so the
-	// counter — and checkpoint/resume arithmetic — is mode-independent.
+	// the engine scored each offspring: inherited from the parent because
+	// the phenotype is identical, scored by dirty-cone re-simulation, or
+	// scored by the full reference path (the initial parent, stale-parent
+	// fallbacks, and evaluators that are not DeltaEvaluators). Evaluations
+	// counts all three, so the counter — and checkpoint/resume arithmetic —
+	// is path-independent.
 	DedupSkips       int64
 	IncrementalEvals int64
 	FullEvals        int64

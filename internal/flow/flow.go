@@ -63,10 +63,6 @@ type Options struct {
 	// CECBDDBudget bounds the portfolio's BDD prover node count
 	// (0 = cec.DefaultBDDBudget).
 	CECBDDBudget int
-	// CECOrder overrides the auxiliary prover priority (names from
-	// cec.AuxEngineNames); the service layer feeds observed win rates back
-	// through it between jobs.
-	CECOrder []string
 	// Templates, when non-nil, enables the search-free identity-template
 	// rewriting pass: the default script runs it after the search stage,
 	// and scripts may invoke it explicitly as "template". Runtime-learned
@@ -232,7 +228,6 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 		RandomWords:  opt.RandomWords,
 		CECPortfolio: opt.CECPortfolio,
 		CECBDDBudget: opt.CECBDDBudget,
-		CECOrder:     opt.CECOrder,
 		Templates:    opt.Templates,
 		Reg:          reg,
 		Scope:        scope,
@@ -328,7 +323,7 @@ func recordRunMetrics(reg *obs.Scope, res *Result, opt Options) {
 	// exposes the rcgp_cec_engine_* families for the engines in play.
 	engines := res.CECEngines
 	if len(engines) == 0 {
-		cfg := cec.PortfolioConfig{Provers: opt.CECPortfolio, Order: opt.CECOrder}
+		cfg := cec.PortfolioConfig{Provers: opt.CECPortfolio}
 		for _, name := range cfg.EngineNames() {
 			engines = append(engines, cec.EngineStat{Name: name})
 		}

@@ -193,10 +193,11 @@ func TestStageTimesAndTrace(t *testing.T) {
 	if sum > res.Runtime+50*time.Millisecond {
 		t.Fatalf("stage sum %v exceeds runtime %v", sum, res.Runtime)
 	}
-	// CEC counters must cover every CGP evaluation plus the per-stage
-	// verification checks.
-	if res.CEC.Checks < res.CGP.Evaluations {
-		t.Fatalf("CEC checks %d < CGP evaluations %d", res.CEC.Checks, res.CGP.Evaluations)
+	// CEC counters must cover every CGP evaluation that reached the oracle
+	// (all but the phenotype-dedup skips) plus the per-stage verification
+	// checks.
+	if tel := res.CGP.Telemetry; res.CEC.Checks < tel.Evaluations-tel.DedupSkips {
+		t.Fatalf("CEC checks %d < CGP evaluations %d - dedup skips %d", res.CEC.Checks, tel.Evaluations, tel.DedupSkips)
 	}
 	if res.CEC.ExhaustiveProved == 0 {
 		t.Fatal("no exhaustive proofs recorded for a 2-input circuit")

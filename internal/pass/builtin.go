@@ -54,7 +54,6 @@ func init() {
 		OptionDoc{Name: "islands", Kind: "int", Default: "1", Help: "independent (1+λ) populations with ring migration"},
 		OptionDoc{Name: "migrate", Kind: "int", Default: "500", Help: "island epoch length in generations"},
 		OptionDoc{Name: "shrink", Kind: "bool", Default: "false", Help: "shrink the chromosome on every improvement"},
-		OptionDoc{Name: "incremental", Kind: "bool", Default: "false", Help: "dirty-cone incremental offspring evaluation (same trajectory per seed)"},
 	)
 	Register(Info{
 		Name: "cgp", Stage: "flow.cgp", Mutates: true,
@@ -235,7 +234,6 @@ func (p *convertPass) Run(ctx context.Context, st *State) error {
 	st.Oracle.ConfigurePortfolio(cec.PortfolioConfig{
 		Provers:   st.CECPortfolio,
 		BDDBudget: st.CECBDDBudget,
-		Order:     st.CECOrder,
 		Scope:     st.Scope,
 	})
 	st.Oracle.AttachTracer(st.Tracer)
@@ -258,7 +256,6 @@ type searchPass struct {
 	workers, islands *int
 	migrate          *int
 	shrink           *bool
-	incremental      *bool
 	steps            *int
 }
 
@@ -276,7 +273,6 @@ func buildSearch(args Args, engine string) (Pass, error) {
 		p.islands = r.IntOpt("islands")
 		p.migrate = r.IntOpt("migrate")
 		p.shrink = r.BoolOpt("shrink")
-		p.incremental = r.BoolOpt("incremental")
 	case "anneal":
 		p.steps = r.IntOpt("steps")
 	}
@@ -317,9 +313,6 @@ func (p *searchPass) options(st *State) core.Options {
 	}
 	if p.shrink != nil {
 		o.ShrinkOnImprove = *p.shrink
-	}
-	if p.incremental != nil {
-		o.Incremental = *p.incremental
 	}
 	return o
 }

@@ -62,13 +62,12 @@ type State struct {
 	CGP core.Options
 	// RandomWords sizes the random stimulus for wide circuits.
 	RandomWords int
-	// CECPortfolio / CECBDDBudget / CECOrder configure the oracle's
-	// equivalence-prover portfolio (racing roster size, BDD node budget,
-	// auxiliary priority); the convert pass applies them to the oracle it
-	// builds. Zero values keep the single-authority legacy path.
+	// CECPortfolio / CECBDDBudget configure the oracle's equivalence-prover
+	// portfolio (racing roster size, BDD node budget); the convert pass
+	// applies them to the oracle it builds. Zero values keep the
+	// single-authority legacy path.
 	CECPortfolio int
 	CECBDDBudget int
-	CECOrder     []string
 
 	// Reg is the run-local metric registry (never nil inside Manager.Run;
 	// its snapshot becomes Result.Obs) and Tracer the optional JSONL sink.

@@ -36,7 +36,10 @@ func (n *Netlist) WriteText(w io.Writer) error {
 // resulting netlist.
 func ReadText(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Start small and grow on demand: the template library parses a tiny
+	// netlist on every match, so a large initial buffer dominates its
+	// allocation.
+	sc.Buffer(nil, 1<<24)
 	var n *Netlist
 	sawHeader := false
 	line := 0

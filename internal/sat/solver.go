@@ -142,82 +142,18 @@ type Solver struct {
 	ctx         context.Context // optional cancellation, see SetContext
 	interrupted bool            // set by search when ctx fired mid-run
 
-	restartBase int64     // Luby restart base in conflicts (0 = default 100)
-	phaseInit   PhaseInit // initial saved phase of fresh variables
-	jitter      bool      // seed-derived initial-activity jitter enabled
-	rng         uint64    // xorshift64 state for jitter / random phases
-
 	ok bool // false once top-level conflict proven
 
 	model []bool
 }
 
-// PhaseInit selects the initial saved phase of fresh variables — the
-// polarity the solver tries first when branching on a never-flipped
-// variable.
-type PhaseInit int8
-
-// Phase initialization policies.
-const (
-	// PhaseFalse is the MiniSat default: try the negative polarity first.
-	PhaseFalse PhaseInit = iota
-	// PhaseTrue tries the positive polarity first.
-	PhaseTrue
-	// PhaseRandom draws each fresh variable's initial phase from the
-	// solver's deterministic seed stream (see Options.BranchSeed).
-	PhaseRandom
-)
-
-// Options configures a solver instance's search heuristics. Distinct
-// options make two solvers explore the same CNF along different
-// trajectories — the basis of portfolio racing — while every verdict stays
-// sound: any two instances agree on SAT/UNSAT. The zero value reproduces
-// the classic solver exactly.
-type Options struct {
-	// RestartInterval is the base of the Luby restart sequence, in
-	// conflicts (0 = the default 100).
-	RestartInterval int64
-	// BranchSeed, when nonzero, deterministically jitters the initial
-	// VSIDS activities (breaking equal-activity branching ties differently
-	// per seed) and seeds PhaseRandom. Zero keeps classic tie-breaking.
-	BranchSeed int64
-	// PhaseInit selects the initial saved phase of fresh variables.
-	PhaseInit PhaseInit
-}
-
-// New returns an empty solver with default heuristics.
+// New returns an empty solver.
 func New() *Solver {
-	return NewSolver(Options{})
+	return &Solver{varInc: 1, claInc: 1, ok: true}
 }
 
-// NewSolver returns an empty solver with the given heuristic options.
-func NewSolver(opt Options) *Solver {
-	s := &Solver{varInc: 1, claInc: 1, ok: true, restartBase: defaultRestartBase}
-	if opt.RestartInterval > 0 {
-		s.restartBase = opt.RestartInterval
-	}
-	s.phaseInit = opt.PhaseInit
-	if opt.BranchSeed != 0 {
-		s.jitter = true
-		s.rng = uint64(opt.BranchSeed)
-	}
-	if s.rng == 0 {
-		s.rng = 0x9E3779B97F4A7C15 // fixed stream for PhaseRandom without a seed
-	}
-	return s
-}
-
-const defaultRestartBase = 100
-
-// nextRand advances the solver's private xorshift64 stream.
-func (s *Solver) nextRand() uint64 {
-	x := s.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng = x
-	return x
-}
+// restartBase is the base of the Luby restart sequence, in conflicts.
+const restartBase = 100
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -225,22 +161,8 @@ func (s *Solver) NewVar() int {
 	s.numVars++
 	s.assigns = append(s.assigns, lUndef)
 	s.vardata = append(s.vardata, varData{reason: noReason, level: -1})
-	ph := false
-	switch s.phaseInit {
-	case PhaseTrue:
-		ph = true
-	case PhaseRandom:
-		ph = s.nextRand()&1 == 1
-	}
-	s.phase = append(s.phase, ph)
-	// The jitter is orders of magnitude below one VSIDS bump (varInc starts
-	// at 1), so it only reorders variables the classic heuristic considers
-	// tied — enough to diversify a portfolio without degrading VSIDS.
-	act := 0.0
-	if s.jitter {
-		act = float64(s.nextRand()>>40) * 1e-11 // < 1.7e-4
-	}
-	s.activity = append(s.activity, act)
+	s.phase = append(s.phase, false)
+	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.seen = append(s.seen, false)
 	s.heapPos = append(s.heapPos, -1)
@@ -782,10 +704,6 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 	s.cancelUntil(0)
 	s.maxLearnts = float64(s.NumClauses())/3 + 1000
 
-	restartBase := s.restartBase
-	if restartBase <= 0 {
-		restartBase = defaultRestartBase // zero-value Solver literals
-	}
 	var restartNum int64
 	for {
 		base := restartBase * luby(restartNum)

@@ -154,7 +154,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 }
 
 func TestServerCancelRunning(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	s, c := newTestServer(t, Config{})
 	ctx := context.Background()
 
 	long := fullAdder
@@ -163,7 +163,10 @@ func TestServerCancelRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c, j.ID, client.StatusRunning)
+	// "running" is reported before the pipeline reaches the search; cancel
+	// only once the search has started, so a verified best-so-far circuit
+	// exists.
+	waitSearchStarted(t, s, j.ID)
 	if err := c.Cancel(ctx, j.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +237,7 @@ func TestServerDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c, j.ID, client.StatusRunning)
+	waitSearchStarted(t, s, j.ID)
 
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -314,13 +317,7 @@ func TestServerCheckpointRecovery(t *testing.T) {
 		t.Fatalf("recovered progress lost: %+v", rec)
 	}
 
-	waitStatus(t, nil, "", client.StatusRunning, func() client.Status {
-		got, err := s2.Job(j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got.Status
-	})
+	waitSearchStarted(t, s2, j.ID)
 	if err := s2.Cancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -358,32 +355,27 @@ func pollTerminal(t *testing.T, s *Server, id string) client.Job {
 	}
 }
 
-// waitStatus polls until the job reaches the wanted (non-terminal) status.
-// With a client it polls over HTTP; otherwise via the getter.
-func waitStatus(t *testing.T, c *client.Client, id string, want client.Status, getter ...func() client.Status) {
+// waitSearchStarted polls until the job's telemetry shows a flight sample,
+// i.e. its CGP search has run its first sampling interval. A job reports
+// "running" before the pipeline reaches the search, and one canceled that
+// early has no best-so-far circuit to return.
+func waitSearchStarted(t *testing.T, s *Server, id string) {
 	t.Helper()
-	get := func() client.Status {
-		j, err := c.Job(context.Background(), id)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		j, err := s.Job(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j.Status
-	}
-	if len(getter) > 0 {
-		get = getter[0]
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		got := get()
-		if got == want {
+		if j.Telemetry != nil && j.Telemetry.FlightSamples >= 1 {
 			return
 		}
-		if got.Terminal() {
-			t.Fatalf("job reached terminal %q while waiting for %q", got, want)
+		if j.Status.Terminal() {
+			t.Fatalf("job reached terminal %q before its search started", j.Status)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never reached %q (at %q)", want, got)
+			t.Fatalf("job search never started (status %q)", j.Status)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"github.com/reversible-eda/rcgp"
 	"github.com/reversible-eda/rcgp/client"
 	"github.com/reversible-eda/rcgp/internal/buildinfo"
-	"github.com/reversible-eda/rcgp/internal/cec"
 	"github.com/reversible-eda/rcgp/internal/obs"
 )
 
@@ -109,12 +108,6 @@ type Server struct {
 	finished int
 	seq      int64
 	draining bool
-	// cecWins accumulates, across finished jobs, how often each auxiliary
-	// equivalence-prover engine's verdict was adopted. New jobs get their
-	// aux roster ordered by these win rates, so the engines that pay off on
-	// this server's workload are raced first. The authority engine is not
-	// tracked — it always runs and pins the counterexample policy.
-	cecWins map[string]int64
 
 	kick      chan struct{}
 	wg        sync.WaitGroup // running jobs
@@ -152,7 +145,6 @@ func New(cfg Config) *Server {
 		reg:       cfg.Registry,
 		logf:      cfg.Logf,
 		jobs:      make(map[string]*job),
-		cecWins:   make(map[string]int64),
 		kick:      make(chan struct{}, 1),
 		schedDone: make(chan struct{}),
 	}
@@ -496,7 +488,6 @@ func (s *Server) options(j *job, workers int) rcgp.Options {
 	}
 	opt.CECPortfolio = s.cfg.CECPortfolio
 	opt.CECBDDBudget = s.cfg.CECBDDBudget
-	opt.CECOrder = s.cecOrder()
 	opt.CheckpointEvery = s.cfg.CheckpointEvery
 	opt.CheckpointSink = func(cp rcgp.Checkpoint) { s.noteCheckpoint(j, cp) }
 	if j.resume != nil {
@@ -517,40 +508,6 @@ func (s *Server) options(j *job, workers int) rcgp.Options {
 		opt.Trace = j.trace
 	}
 	return opt
-}
-
-// cecOrder snapshots the auxiliary prover roster ordered by accumulated
-// adoption wins (descending, ties by name so the order is reproducible).
-// Returns nil until some job has produced engine telemetry — the library
-// default order applies then.
-func (s *Server) cecOrder() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.cecWins) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(s.cecWins))
-	for name := range s.cecWins {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, k int) bool {
-		if s.cecWins[names[i]] != s.cecWins[names[k]] {
-			return s.cecWins[names[i]] > s.cecWins[names[k]]
-		}
-		return names[i] < names[k]
-	})
-	return names
-}
-
-// noteEngineWinsLocked folds one finished job's per-engine racing record
-// into the cross-job win tally feeding cecOrder. Callers hold s.mu.
-func (s *Server) noteEngineWinsLocked(engines []rcgp.EngineStat) {
-	for _, e := range engines {
-		if e.Name == cec.AuthorityEngine {
-			continue // always raced; ordering never applies to it
-		}
-		s.cecWins[e.Name] += e.Wins
-	}
 }
 
 // noteCheckpoint records best-so-far progress and persists the snapshot.
@@ -632,7 +589,6 @@ func (s *Server) runJob(j *job, workers int) {
 				Learned:    t.Learned,
 			}
 		}
-		s.noteEngineWinsLocked(res.Telemetry.CEC.Engines)
 	}
 	// A job counts as drain-interrupted only if the drain actually cut its
 	// context short — one that completed before the drain is simply done.

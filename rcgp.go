@@ -194,14 +194,6 @@ type Options struct {
 	// best-individual ring migration, dividing Workers among them.
 	// Default 1 (no island model).
 	Islands int
-	// Incremental enables incremental offspring evaluation: phenotype-
-	// identical offspring inherit the parent's fitness without simulation,
-	// and all others re-simulate only the fan-out cone of their mutated
-	// genes against the parent's resident port vectors. The evolved
-	// circuit, its fitness, and every deterministic counter are
-	// bit-identical per seed to the full path; only throughput changes.
-	// Default off.
-	Incremental bool
 	// TimeBudget bounds the wall-clock time of the evolution.
 	TimeBudget time.Duration
 	// InitializationOnly skips the CGP stage, yielding the paper's
@@ -226,20 +218,16 @@ type Options struct {
 	// Workers, …) become the baseline that script options override.
 	Script string
 	// CECPortfolio is the number of equivalence provers raced per
-	// slow-path check on wide (>14-input) designs: the authority CDCL
-	// miter plus, above 1, a budgeted BDD comparator and seeded CDCL
-	// replicas (first definitive verdict wins). 0 or 1 keeps the classic
-	// single-prover path. Racing changes latency only: the adopted
-	// verdicts and counterexamples — and therefore the evolved circuit
-	// per seed — are identical for every roster size.
+	// slow-path check on wide (>14-input) designs: 0 or 1 keeps the
+	// classic single-prover path (the authority CDCL miter); 2 or more
+	// races it against a budgeted BDD comparator (first definitive verdict
+	// wins; larger values are clamped to 2). Racing changes latency only:
+	// the adopted verdicts and counterexamples — and therefore the evolved
+	// circuit per seed — are identical for either roster.
 	CECPortfolio int
 	// CECBDDBudget bounds the portfolio's BDD prover node count; the BDD
 	// engine answers "unknown" beyond it (0 = a generous default).
 	CECBDDBudget int
-	// CECOrder overrides the portfolio's auxiliary prover priority
-	// ("bdd", "sat_r1", "sat_r2", "sat_r3"). The service layer uses it to
-	// bias future racing toward engines that have been winning.
-	CECOrder []string
 	// Cache, when non-nil, is consulted before the search (a hit returns a
 	// stored, formally re-verified netlist for the function's NPN class
 	// without evolving anything) and updated with the result afterwards.
@@ -657,7 +645,6 @@ func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, e
 		Script:       opt.Script,
 		CECPortfolio: opt.CECPortfolio,
 		CECBDDBudget: opt.CECBDDBudget,
-		CECOrder:     opt.CECOrder,
 		Templates:    templatesOf(opt.Templates),
 		CGP: core.Options{
 			Lambda:       opt.Lambda,
@@ -666,7 +653,6 @@ func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, e
 			Seed:         opt.Seed,
 			Workers:      opt.Workers,
 			Islands:      opt.Islands,
-			Incremental:  opt.Incremental,
 			TimeBudget:   opt.TimeBudget,
 		},
 	}

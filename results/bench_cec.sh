@@ -7,7 +7,7 @@
 #
 # Extra flags are passed through, e.g.:
 #
-#   results/bench_cec.sh -bench hwb8 -reps 40 -provers 4
+#   results/bench_cec.sh -bench hwb8 -reps 40 -provers 2
 set -e
 cd "$(dirname "$0")/.."
 exec go run ./cmd/rcgp-cecbench -o results/BENCH_cec.json "$@"

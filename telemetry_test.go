@@ -61,10 +61,11 @@ func TestTelemetrySnapshotFacade(t *testing.T) {
 	if r := tel.MutationAcceptRate(); r <= 0 || r > 1 {
 		t.Fatalf("accept rate %v out of range", r)
 	}
-	// Every CGP evaluation goes through the equivalence oracle, plus the
-	// initialization and per-stage verification checks.
-	if tel.CEC.Checks <= tel.Evaluations {
-		t.Fatalf("CEC checks %d, want > evaluations %d", tel.CEC.Checks, tel.Evaluations)
+	// Every CGP evaluation but the phenotype-dedup skips goes through the
+	// equivalence oracle, plus the initialization and per-stage
+	// verification checks.
+	if tel.CEC.Checks <= tel.Evaluations-tel.DedupSkips {
+		t.Fatalf("CEC checks %d, want > evaluations %d - dedup skips %d", tel.CEC.Checks, tel.Evaluations, tel.DedupSkips)
 	}
 	if tel.CEC.ExhaustiveProved == 0 {
 		t.Fatal("2-input circuit should be proved exhaustively")
