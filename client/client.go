@@ -234,7 +234,9 @@ type TemplateStats struct {
 	MergeRejects int64 `json:"merge_rejects,omitempty"`
 }
 
-// Health is the GET /healthz payload.
+// Health is the GET /healthz payload. Finished counts every job that
+// reached a terminal status, including finished jobs the server no longer
+// remembers.
 type Health struct {
 	// Status is "ok" while accepting jobs, "draining" during shutdown.
 	Status    string         `json:"status"`
@@ -308,7 +310,8 @@ func (c *Client) Job(ctx context.Context, id string) (Job, error) {
 	return j, err
 }
 
-// Jobs lists all jobs the server knows about, newest first.
+// Jobs lists the jobs the server remembers, newest first: every queued
+// and running job and the most recently finished ones.
 func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
 	var js []Job
 	err := c.do(ctx, http.MethodGet, "/jobs", nil, &js)

@@ -5,7 +5,7 @@
 // instead of minutes of CGP search (the paper's §3.2 runtime is dominated
 // by fitness evaluation, which a cache hit skips entirely).
 //
-// Designs with at most tt.NPNMaxVars inputs are canonicalized jointly over
+// Designs with at most NPNMaxVars inputs are canonicalized jointly over
 // all outputs: one input permutation and negation vector shared by every
 // output plus a per-output polarity, i.e. the multi-output generalization
 // of single-output NPN classes. Because RQFP majority gates absorb any
@@ -23,7 +23,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
+	"math/bits"
+	"strconv"
 	"sync"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
@@ -45,8 +46,8 @@ var ErrUncacheable = errors.New("cache: design outside the cacheable range")
 // representative: canonical input i reads original input Perm[i],
 // complemented when bit i of InputNeg is set, and canonical output k is
 // original output k complemented when OutputNeg[k] — the multi-output
-// generalization of tt.NPNTransform. The zero-value/nil Transform is the
-// identity (exact-signature designs).
+// generalization of a single-output NPN transform. The zero-value/nil
+// Transform is the identity (exact-signature designs).
 type Transform struct {
 	N         int     `json:"n"`
 	Perm      []uint8 `json:"perm"`
@@ -70,14 +71,18 @@ func Signature(tables []tt.TT) (string, *Transform, error) {
 			return "", nil, fmt.Errorf("cache: mixed input counts (%d vs %d)", f.N, n)
 		}
 	}
-	if n <= tt.NPNMaxVars {
+	if n <= NPNMaxVars {
 		canon, tr := canonicalize(tables)
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "npn:%d:%d", n, len(tables))
+		key := make([]byte, 0, 12+9*len(canon))
+		key = append(key, "npn:"...)
+		key = strconv.AppendInt(key, int64(n), 10)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(len(tables)), 10)
 		for _, w := range canon {
-			fmt.Fprintf(&sb, ":%x", w)
+			key = append(key, ':')
+			key = strconv.AppendUint(key, w, 16)
 		}
-		return sb.String(), &tr, nil
+		return string(key), &tr, nil
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d:%d", n, len(tables))
@@ -88,115 +93,173 @@ func Signature(tables []tt.TT) (string, *Transform, error) {
 	return fmt.Sprintf("xct:%d:%d:%s", n, len(tables), hex.EncodeToString(h.Sum(nil))), nil, nil
 }
 
+// NPNMaxVars bounds joint NPN canonicalization: every candidate transform
+// is tried, n!·2ⁿ of them (3,840 at five inputs), each with free
+// per-output polarity.
+const NPNMaxVars = 5
+
 // pack flattens a ≤5-input truth table into one uint64.
 func pack(f tt.TT) uint64 {
-	var w uint64
-	for s := uint(0); s < uint(f.Size()); s++ {
-		if f.Get(s) {
-			w |= 1 << s
-		}
-	}
-	return w
+	return f.Bits[0] & (1<<(uint(1)<<uint(f.N)) - 1)
+}
+
+// deltaSwap permutes the bits of a packed table: the bits in mask trade
+// places with the bits shift positions above them. One swap exchanges two
+// inputs or negates one.
+type deltaSwap struct {
+	mask  uint64
+	shift uint
+}
+
+func (d deltaSwap) apply(w uint64) uint64 {
+	t := (w>>d.shift ^ w) & d.mask
+	return w ^ t ^ t<<d.shift
 }
 
 // transformSet is the precomputed enumeration of all input transforms of
-// one arity: for every (permutation, input-negation) pair, remaps holds
-// the original assignment each canonical assignment reads. Shared across
-// all canonicalizations of that arity — the per-call work is then a pure
-// table walk.
+// one arity, shared by every canonicalization of that arity: the
+// permutations in search order, for each the variable transpositions that
+// permute a packed table, and the flips that negate one input.
 type transformSet struct {
-	perms  [][]uint8
-	negs   uint32
-	remaps [][]uint8 // [perm*negs+neg][canonical s] = original assignment
+	mask  uint64 // the 2ⁿ valid table bits
+	negs  uint32 // 2ⁿ input negations per permutation
+	perms [][]uint8
+	swaps [][]deltaSwap
+	flips [NPNMaxVars]deltaSwap
 }
 
 var (
-	transformSets [tt.NPNMaxVars + 1]*transformSet
-	transformOnce [tt.NPNMaxVars + 1]sync.Once
+	transformSets [NPNMaxVars + 1]*transformSet
+	transformOnce [NPNMaxVars + 1]sync.Once
 )
 
 func transformsFor(n int) *transformSet {
 	transformOnce[n].Do(func() {
 		size := uint(1) << uint(n)
-		negs := uint32(1) << uint(n)
-		ts := &transformSet{perms: permutations(n), negs: negs}
-		ts.remaps = make([][]uint8, 0, len(ts.perms)*int(negs))
-		for _, perm := range ts.perms {
-			for neg := uint32(0); neg < negs; neg++ {
-				remap := make([]uint8, size)
-				for s := uint(0); s < size; s++ {
-					var o uint8
-					for i := 0; i < n; i++ {
-						bit := s >> uint(i) & 1
-						if neg>>uint(i)&1 == 1 {
-							bit ^= 1
-						}
-						if bit == 1 {
-							o |= 1 << uint(perm[i])
-						}
-					}
-					remap[s] = o
+		ts := &transformSet{mask: 1<<size - 1, negs: 1 << uint(n), perms: permutations(n)}
+		// exchange(i, j) swaps variables i < j: assignments with bit i set
+		// and bit j clear trade values with their partners 2ʲ−2ⁱ higher.
+		exchange := func(i, j int) deltaSwap {
+			d := deltaSwap{shift: 1<<uint(j) - 1<<uint(i)}
+			for s := uint(0); s < size; s++ {
+				if s>>uint(i)&1 == 1 && s>>uint(j)&1 == 0 {
+					d.mask |= 1 << s
 				}
-				ts.remaps = append(ts.remaps, remap)
 			}
+			return d
+		}
+		// Negating input i swaps each assignment with its partner 2ⁱ
+		// higher.
+		for i := 0; i < n; i++ {
+			d := deltaSwap{shift: 1 << uint(i)}
+			for s := uint(0); s < size; s++ {
+				if s>>uint(i)&1 == 0 {
+					d.mask |= 1 << s
+				}
+			}
+			ts.flips[i] = d
+		}
+		// Selection sort of the identity onto each permutation: after the
+		// swaps, canonical variable i holds original variable perm[i].
+		for _, perm := range ts.perms {
+			cur := make([]uint8, n)
+			for i := range cur {
+				cur[i] = uint8(i)
+			}
+			var swaps []deltaSwap
+			for i := 0; i < n; i++ {
+				for j := i + 1; cur[i] != perm[i]; j++ {
+					if cur[j] == perm[i] {
+						swaps = append(swaps, exchange(i, j))
+						cur[i], cur[j] = cur[j], cur[i]
+					}
+				}
+			}
+			ts.swaps = append(ts.swaps, swaps)
 		}
 		transformSets[n] = ts
 	})
 	return transformSets[n]
 }
 
-// canonicalize finds the lexicographically smallest output-table vector
-// over all shared input permutations/negations with per-output polarity
-// freedom, and the transform producing it from the input.
-func canonicalize(tables []tt.TT) ([]uint64, Transform) {
-	n := tables[0].N
-	size := uint(1) << uint(n)
-	mask := uint64(1)<<size - 1
-	packed := make([]uint64, len(tables))
-	for k, f := range tables {
-		packed[k] = pack(f)
+// table returns packed table w under permutation p and input negation neg.
+func (ts *transformSet) table(w uint64, p int, neg uint32) uint64 {
+	for _, d := range ts.swaps[p] {
+		w = d.apply(w)
 	}
-
-	ts := transformsFor(n)
-	cand := make([]uint64, len(tables))
-	candNeg := make([]bool, len(tables))
-	best := make([]uint64, len(tables))
-	var bestTr Transform
-	first := true
-
-	for t, remap := range ts.remaps {
-		for k, w := range packed {
-			var b uint64
-			for s := uint(0); s < size; s++ {
-				b |= (w >> remap[s] & 1) << s
-			}
-			if nb := ^b & mask; nb < b {
-				cand[k], candNeg[k] = nb, true
-			} else {
-				cand[k], candNeg[k] = b, false
-			}
-		}
-		if first || lexLess(cand, best) {
-			first = false
-			copy(best, cand)
-			bestTr = Transform{
-				N:         n,
-				Perm:      append([]uint8(nil), ts.perms[t/int(ts.negs)]...),
-				InputNeg:  uint32(t) % ts.negs,
-				OutputNeg: append([]bool(nil), candNeg...),
-			}
-		}
+	for ; neg != 0; neg &= neg - 1 {
+		w = ts.flips[bits.TrailingZeros32(neg)].apply(w)
 	}
-	return best, bestTr
+	return w
 }
 
-func lexLess(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// canonicalize finds the lexicographically smallest output-table vector
+// over all shared input permutations/negations with per-output polarity
+// freedom, and the transform producing it from the input. Ties go to the
+// transform enumerated first, permutation-major in permutations order
+// with the negation vector counting up within each permutation.
+//
+// Each permutation's negations are walked in Gray-code order, so every
+// step negates one input: one delta swap per output table. Outputs are
+// permuted and negated lazily and compared one at a time, so a candidate
+// that already loses on an early output costs nothing for the rest.
+func canonicalize(tables []tt.TT) ([]uint64, Transform) {
+	n, m := tables[0].N, len(tables)
+	ts := transformsFor(n)
+	scratch := make([]uint64, 3*m)
+	best, cur, at := scratch[:m], scratch[m:2*m], scratch[2*m:]
+	const stale = ^uint64(0) // at[k]: cur[k]'s negation vector, or stale
+
+	var bestP int
+	var bestNeg uint32
+	for p := range ts.perms {
+		for k := range at {
+			at[k] = stale
+		}
+		for g := uint32(0); g < ts.negs; g++ {
+			neg := g ^ g>>1
+			better, lost := p == 0 && g == 0, false
+			for k := 0; k < m && !lost; k++ {
+				c := cur[k]
+				if at[k] == stale {
+					c = ts.table(pack(tables[k]), p, neg)
+				} else {
+					for d := uint32(at[k]) ^ neg; d != 0; d &= d - 1 {
+						c = ts.flips[bits.TrailingZeros32(d)].apply(c)
+					}
+				}
+				cur[k], at[k] = c, uint64(neg)
+				if nc := ^c & ts.mask; nc < c {
+					c = nc
+				}
+				switch {
+				case better:
+					best[k] = c
+				case c > best[k]:
+					lost = true
+				case c < best[k]:
+					better = true
+					best[k] = c
+				}
+			}
+			// A tie keeps the earlier transform: across permutations the
+			// incumbent always came first, within one the smaller vector.
+			if better || !lost && p == bestP && neg < bestNeg {
+				bestP, bestNeg = p, neg
+			}
 		}
 	}
-	return false
+
+	tr := Transform{
+		N:         n,
+		Perm:      append([]uint8(nil), ts.perms[bestP]...),
+		InputNeg:  bestNeg,
+		OutputNeg: make([]bool, m),
+	}
+	for k, f := range tables {
+		tr.OutputNeg[k] = ts.table(pack(f), bestP, bestNeg) != best[k]
+	}
+	return best, tr
 }
 
 // permutations enumerates all permutations of 0..n-1 in a deterministic

@@ -163,7 +163,7 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			// withDefaults), so every worker owns at least one slot.
 			e.batches[w] = [2]int{w * opt.Lambda / opt.Workers, (w + 1) * opt.Lambda / opt.Workers}
 			e.starts[w] = make(chan struct{}, 1)
-			go e.worker(w, ev.Fork())
+			go e.worker(w, e.starts[w], ev.Fork())
 		}
 	}
 	e.flushRoot()
@@ -197,14 +197,16 @@ func (e *engine) close() {
 	e.flushRoot()
 }
 
-// worker evaluates its static slot range once per wakeup. Everything the
-// batch reads (parent, fitness, epoch, seeds, ctx) was published by the
+// worker evaluates its static slot range once per wakeup on start. Everything
+// the batch reads (parent, fitness, epoch, seeds, ctx) was published by the
 // coordinator before the starts send; everything it writes lands in its own
 // slots and its own shards, which it drains before signalling completion.
-func (e *engine) worker(w int, ev Evaluator) {
+// The channel is passed in rather than read from e.starts, which close
+// clears, possibly before the worker goroutine first runs.
+func (e *engine) worker(w int, start <-chan struct{}, ev Evaluator) {
 	lo, hi := e.batches[w][0], e.batches[w][1]
 	flusher, _ := ev.(StatsFlusher)
-	for range e.starts[w] {
+	for range start {
 		e.runBatch(lo, hi, ev, e.shards[w])
 		if e.shards[w] != nil {
 			e.hists[w].Drain(e.shards[w])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -241,5 +242,19 @@ func TestProgressSingleGoroutine(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("Progress never called")
+	}
+}
+
+// A search canceled as it starts closes its engine before the worker
+// goroutines first run; they must neither race with close nor index the
+// start channels close has already cleared.
+func TestEngineCloseBeforeWorkersRun(t *testing.T) {
+	spec, n := buildCase(decoderTables())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 20; i++ {
+		if _, err := OptimizeContext(ctx, n, spec, Options{Generations: 100, Lambda: 8, Workers: 8, Seed: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

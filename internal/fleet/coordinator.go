@@ -77,6 +77,9 @@ type fleetJob struct {
 	// migrating: a hand-off or steal is relocating the job right now —
 	// status reads from the old owner must not be adopted.
 	migrating bool
+	// canceled: the client asked to cancel, so a job its runner has
+	// forgotten ends canceled instead of running again.
+	canceled bool
 }
 
 // Coordinator owns the runner table, the hash ring, the fleet job table,
@@ -339,9 +342,34 @@ func (co *Coordinator) Job(ctx context.Context, id string) (client.Job, error) {
 		if err != nil {
 			co.reg.Counter("fleet.proxy_errors").Inc()
 		}
+		var apiErr *client.APIError
+		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound && fj.runnerJob == runnerJob {
+			co.lostLocked(fj)
+		}
 		return fj.last, nil
 	}
 	return co.adoptJobStateLocked(fj, j), nil
+}
+
+// lostLocked handles a runner that answers 404 for a job the coordinator
+// still holds as live. Runners remember only their newest finished jobs,
+// so the job ended and was forgotten before anyone polled it (or the
+// runner restarted without it). A canceled job ends canceled; any other
+// becomes an orphan, and the supervisor resumes it from its last
+// checkpoint on the ring's choice, the same runner included, so it still
+// reaches one verified terminal result, bit-identical per seed.
+func (co *Coordinator) lostLocked(fj *fleetJob) {
+	if fj.terminal || fj.orphan || fj.migrating {
+		return
+	}
+	if fj.canceled {
+		fj.terminal = true
+		fj.last.Status = client.StatusCanceled
+		co.updateJobGaugesLocked()
+		return
+	}
+	co.logf("fleet: runner %s forgot live job %s, resuming it", fj.runnerID, fj.id)
+	co.orphanLocked(fj)
 }
 
 // adoptJobStateLocked folds a fresh owner-side job state into the fleet
@@ -421,6 +449,7 @@ func (co *Coordinator) Cancel(ctx context.Context, id string) error {
 		co.mu.Unlock()
 		return nil
 	}
+	fj.canceled = true
 	rs := co.runners[fj.runnerID]
 	runnerJob := fj.runnerJob
 	co.mu.Unlock()
@@ -670,12 +699,13 @@ func (co *Coordinator) reapDead() {
 	}
 }
 
-// relocate moves one job to the ring's next choice for its key, resuming
-// from its last checkpoint (or from generation zero if none was taken —
-// bit-identical per seed either way). On failure the job becomes an
-// orphan and the supervisor retries next tick.
+// relocate moves one job to the ring's first live runner for its key,
+// resuming from its last checkpoint (or from generation zero if none was
+// taken — bit-identical per seed either way). A dead owner is off the
+// ring; a live one (which forgot the job) may take it back. On failure
+// the job becomes an orphan and the supervisor retries next tick.
 func (co *Coordinator) relocate(fj *fleetJob, counter string) {
-	rs := co.pickOwner(fj.key, map[string]bool{fj.runnerID: true})
+	rs := co.pickOwner(fj.key, nil)
 	if rs == nil {
 		co.orphan(fj)
 		return
@@ -748,16 +778,20 @@ func (co *Coordinator) relocateTo(fj *fleetJob, rs *runnerState, counter string)
 
 func (co *Coordinator) orphan(fj *fleetJob) {
 	co.mu.Lock()
+	co.orphanLocked(fj)
+	co.mu.Unlock()
+}
+
+func (co *Coordinator) orphanLocked(fj *fleetJob) {
 	if !fj.orphan {
 		fj.orphan = true
 		fj.migrating = false
 		co.reg.Counter("fleet.orphans").Inc()
 	}
-	co.mu.Unlock()
 }
 
 // placeOrphans retries jobs no runner could take — e.g. everything died
-// and a fresh node has since registered.
+// and a fresh node has since registered — and jobs a runner forgot.
 func (co *Coordinator) placeOrphans() {
 	co.mu.Lock()
 	var orphans []*fleetJob

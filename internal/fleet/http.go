@@ -443,6 +443,10 @@ func (co *Coordinator) pumpProgress(r *http.Request, enc *json.Encoder, fl http.
 		return r.Context().Err() != nil, false
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		// The runner forgot the job: a poll sends it down the lost-job path.
+		co.Job(r.Context(), fj.id)
+	}
 	if resp.StatusCode != http.StatusOK {
 		return false, false
 	}

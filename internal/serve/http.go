@@ -18,9 +18,10 @@ import (
 // Handler returns the HTTP/JSON API:
 //
 //	POST   /synthesize          submit a job (202 + job state)
-//	GET    /jobs                list jobs, newest first
+//	GET    /jobs                list remembered jobs, newest first
 //	GET    /jobs/{id}           one job's state: per-job telemetry while it
-//	                            runs, result once done
+//	                            runs, result once done; 404 once the job is
+//	                            among the finished jobs the server forgot
 //	GET    /jobs/{id}/progress  live flight-recorder stream (NDJSON
 //	                            long-poll; ?after=seq resumes a dropped
 //	                            stream; ends with a {"status":...} line)

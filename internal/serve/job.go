@@ -15,7 +15,8 @@ import (
 
 // job is the server-side state of one synthesis job. All fields are
 // guarded by the server mutex except req/design/resume, which are written
-// once before the job is published.
+// once before the job is published (design is released under the mutex
+// once the job is terminal).
 type job struct {
 	id     string
 	seq    int64
@@ -50,12 +51,14 @@ type job struct {
 	// the execution-trace event stream when the request asked for it, and
 	// stages is the pipeline wall-clock breakdown once the job finishes.
 	// reg, flight, and trace are written once before the job is published;
-	// stages is guarded by the server mutex.
+	// stages is guarded by the server mutex. A terminal job's telemetry is
+	// frozen into tel and reg is released.
 	reg      *obs.Registry
 	flight   *flightLog
 	trace    *traceBuf
 	stages   []client.JobStage
 	template *client.TemplateReport
+	tel      *client.JobTelemetry
 
 	result    *client.Result
 	heapIndex int // -1 when not queued
@@ -83,7 +86,10 @@ func (j *job) wire() client.Job {
 		t := j.finished
 		w.FinishedAt = &t
 	}
-	if !j.started.IsZero() {
+	switch {
+	case j.tel != nil:
+		w.Telemetry = j.tel
+	case !j.started.IsZero():
 		w.Telemetry = j.telemetry()
 	}
 	return w

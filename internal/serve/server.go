@@ -83,6 +83,11 @@ type Config struct {
 	RetryAfter time.Duration
 }
 
+// retainedJobs bounds how many terminal jobs the server remembers: beyond
+// it the oldest finished job is forgotten and its ID answers 404. Queued
+// and running jobs are never forgotten.
+const retainedJobs = 1024
+
 // Errors mapped to HTTP statuses by the handler layer.
 var (
 	ErrDraining  = errors.New("serve: server is draining")
@@ -100,11 +105,13 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []*job // submission order, for listing
-	queue    jobQueue
-	running  int
+	mu      sync.Mutex
+	jobs    map[string]*job
+	retired []*job // terminal jobs still in jobs, oldest first
+	queue   jobQueue
+	running int
+	// finished counts every job that ever reached a terminal status,
+	// forgotten ones included.
 	finished int
 	seq      int64
 	draining bool
@@ -193,7 +200,6 @@ func (s *Server) recover() {
 			}
 		}
 		s.jobs[j.id] = j
-		s.order = append(s.order, j)
 		s.queue.push(j)
 		s.reg.Counter("serve.jobs_recovered").Inc()
 		s.logf("serve: recovered job %s at generation %d (gates=%d)", j.id, cp.Generation, cp.Gates)
@@ -272,7 +278,6 @@ func (s *Server) submit(req client.Request, resume *rcgp.Checkpoint) (client.Job
 	}
 	s.initJobObs(j)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	s.queue.push(j)
 	s.reg.Counter("serve.jobs_submitted").Inc()
 	s.reg.Gauge("serve.queue_depth").Set(int64(s.queue.Len()))
@@ -293,15 +298,43 @@ func (s *Server) Job(id string) (client.Job, error) {
 	return j.wire(), nil
 }
 
-// Jobs lists every job, newest first.
+// Jobs lists every job the server remembers, newest submission first.
 func (s *Server) Jobs() []client.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]client.Job, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		out = append(out, s.order[i].wire())
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(a, b int) bool {
+		if jobs[a].seq != jobs[b].seq {
+			return jobs[a].seq > jobs[b].seq
+		}
+		return jobs[a].id > jobs[b].id
+	})
+	out := make([]client.Job, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.wire()
 	}
 	return out
+}
+
+// retireLocked settles a job that just reached a terminal status: its
+// telemetry is frozen, so the API keeps rendering the same body, and the
+// specification and live registry are released. Beyond retainedJobs
+// terminal jobs the oldest is forgotten. Called with s.mu held.
+func (s *Server) retireLocked(j *job) {
+	s.finished++
+	if !j.started.IsZero() {
+		j.tel = j.telemetry()
+	}
+	j.design, j.reg = nil, nil
+	s.retired = append(s.retired, j)
+	if len(s.retired) > retainedJobs {
+		delete(s.jobs, s.retired[0].id)
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+	}
 }
 
 // Cancel aborts a queued or running job. Terminal jobs are left as-is.
@@ -317,7 +350,7 @@ func (s *Server) Cancel(id string) error {
 		s.queue.remove(j)
 		j.status = client.StatusCanceled
 		j.finished = time.Now()
-		s.finished++
+		s.retireLocked(j)
 		s.reg.Counter("serve.jobs_canceled").Inc()
 		s.reg.Gauge("serve.queue_depth").Set(int64(s.queue.Len()))
 		s.mu.Unlock()
@@ -393,7 +426,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			j.status = client.StatusCanceled
 			j.errMsg = "server draining"
 			j.finished = time.Now()
-			s.finished++
+			s.retireLocked(j)
 			j.flight.close()
 		}
 		s.reg.Gauge("serve.queue_depth").Set(0)
@@ -621,7 +654,7 @@ func (s *Server) runJob(j *job, workers int) {
 		}
 	}
 	s.running--
-	s.finished++
+	s.retireLocked(j)
 	s.reg.Gauge("serve.jobs_running").Set(int64(s.running))
 	s.reg.Histogram("serve.job_runtime").Observe(j.finished.Sub(j.started))
 	keepSnapshot := drained && j.status == client.StatusCanceled

@@ -128,8 +128,9 @@ func (l *Library) SetReplicator(fn func(Entry)) {
 // Learn offers an implementation of the function given by tables. The
 // netlist is canonicalized onto the class representative, re-verified by
 // exhaustive simulation, and adopted only when the class is new or the
-// implementation beats the stored gate count. Returns the stored entry and
-// whether it was adopted.
+// implementation beats the stored gate count. An offer that cannot beat
+// the stored entry even before canonicalization is skipped without that
+// work. Returns the stored entry and whether it was adopted.
 func (l *Library) Learn(tables []tt.TT, net *rqfp.Netlist) (Entry, bool, error) {
 	e, adopted, err := l.add(tables, net, true)
 	switch {
@@ -188,7 +189,12 @@ func (l *Library) Merge(e Entry) error {
 // add is the single verifying store path. The netlist is transformed onto
 // the canonical class representative, shrunk, re-simulated against the
 // transformed tables, and kept only if it beats the stored gate count.
-func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, publish bool) (Entry, bool, error) {
+// Learn offers (learn) that cannot win return before the transform:
+// CanonicalNetlist only rewires ports or adds polarity gates and Shrink
+// only drops unreachable ones, so the stored form never has fewer gates
+// than net.Shrink(). Merge always takes the full path, so a bad replicated
+// entry is counted as a reject even when it would lose.
+func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, learn bool) (Entry, bool, error) {
 	if len(tables) == 0 {
 		return Entry{}, false, errors.New("template: no outputs")
 	}
@@ -204,7 +210,16 @@ func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, publish bool) (Entry, b
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("template: %w", err)
 	}
-	canon, err := tr.CanonicalNetlist(net.Shrink())
+	net = net.Shrink()
+	if learn {
+		l.mu.RLock()
+		old, ok := l.entries[key]
+		l.mu.RUnlock()
+		if ok && old.Gates <= len(net.Gates) {
+			return old, false, nil
+		}
+	}
+	canon, err := tr.CanonicalNetlist(net)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("template: %w", err)
 	}
@@ -231,7 +246,7 @@ func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, publish bool) (Entry, b
 	l.entries[key] = entry
 	fn := l.replicate
 	l.mu.Unlock()
-	if publish && fn != nil {
+	if learn && fn != nil {
 		fn(entry)
 	}
 	return entry, true, nil
