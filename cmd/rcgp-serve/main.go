@@ -52,10 +52,8 @@ func main() {
 		flightEvery   = flag.Int("flight-every", 500, "default flight-recorder cadence in generations (negative: off unless a request asks)")
 		templates     = flag.String("templates", "starter", "template library: 'starter' (shipped), a JSONL path, or 'off'")
 		templatesOut  = flag.String("templates-out", "", "persist the (possibly grown) template library here on shutdown")
-		cecProv       = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only, 2 = also a budgeted BDD prover)")
-		cecBDD        = flag.Int("cec-bdd-budget", 0, "node budget of the portfolio's BDD prover (0 = default)")
 		flightCap     = flag.Int("flight-cap", 2048, "flight samples retained per job for /jobs/{id}/progress")
-		debugAddr     = flag.String("debug-addr", "", "serve pprof and expvar on this extra address (e.g. localhost:6060); keep it private")
+		debugAddr     = flag.String("debug-addr", "", "serve pprof on this extra address (e.g. localhost:6060); keep it private")
 		join          = flag.String("join", "", "fleet coordinator URL to register with (runner mode)")
 		advertise     = flag.String("advertise", "", "URL the coordinator reaches this runner at (default: http://<listen addr>)")
 		runnerID      = flag.String("runner-id", "", "stable fleet runner identity (default: derived from the advertise URL)")
@@ -79,7 +77,6 @@ func main() {
 		cache = rcgp.NewMemoryCache(*cacheEntries)
 	}
 	defer cache.Close()
-	cache.SetProver(*cecProv, *cecBDD)
 
 	lib, err := openTemplates(*templates)
 	if err != nil {
@@ -118,8 +115,6 @@ func main() {
 		CheckpointEvery:    *checkpointGen,
 		FlightEvery:        *flightEvery,
 		FlightCap:          *flightCap,
-		CECPortfolio:       *cecProv,
-		CECBDDBudget:       *cecBDD,
 		Registry:           reg,
 		Logf:               log.Printf,
 		OnCheckpoint:       onCheckpoint,

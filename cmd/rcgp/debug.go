@@ -1,7 +1,6 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
 	_ "net/http/pprof"
 	"os"
@@ -9,20 +8,11 @@ import (
 	"github.com/reversible-eda/rcgp/internal/serve"
 )
 
-// Live progress of the evolution, exported on /debug/vars when the debug
-// server is enabled (-debug-addr). Updated from the Progress callback.
-var (
-	dbgGeneration = expvar.NewInt("rcgp_generation")
-	dbgGates      = expvar.NewInt("rcgp_gates")
-	dbgGarbage    = expvar.NewInt("rcgp_garbage")
-)
-
-// startDebugServer serves expvar (/debug/vars) and pprof (/debug/pprof/)
-// on addr for the lifetime of the run. The listener is bound synchronously
-// so a bad address or occupied port is reported immediately (a mistyped
-// -debug-addr used to fail silently from the serving goroutine, after the
-// run was already minutes in); the failure still does not abort the
-// synthesis.
+// startDebugServer serves pprof (/debug/pprof/) on addr for the lifetime
+// of the run. The listener is bound synchronously so a bad address or
+// occupied port is reported immediately (a mistyped -debug-addr used to
+// fail silently from the serving goroutine, after the run was already
+// minutes in); the failure still does not abort the synthesis.
 func startDebugServer(addr string) {
 	l, err := serve.Listen(addr)
 	if err != nil {

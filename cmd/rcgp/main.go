@@ -51,8 +51,6 @@ func run() error {
 		workers   = flag.Int("workers", 1, "goroutines evaluating offspring concurrently (0 = NumCPU); deterministic per seed")
 		islands   = flag.Int("islands", 1, "independent (1+λ) populations with periodic ring migration")
 		budget    = flag.Duration("time", 0, "wall-clock budget for the evolution (0 = none)")
-		cecProv   = flag.Int("cec-portfolio", 1, "equivalence provers raced per slow-path check (1 = authority CDCL only, 2 = also a budgeted BDD prover; verdicts and circuits are identical either way)")
-		cecBDD    = flag.Int("cec-bdd-budget", 0, "node budget of the portfolio's BDD prover (0 = default)")
 		templates = flag.String("templates", "", "template library for search-free rewriting: 'starter' (shipped), a JSONL path, or empty for none")
 		initOnly  = flag.Bool("init-only", false, "stop after initialization (baseline)")
 		windows   = flag.Int("window-rounds", 0, "rounds of windowed resynthesis after the evolution")
@@ -64,7 +62,7 @@ func run() error {
 		flightOut = flag.String("flight", "", "write the flight-recorder trajectory (JSONL, one sample per line) to this file")
 		flightGen = flag.Int("flight-every", 500, "flight sampling cadence in generations (with -flight)")
 		metrics   = flag.Bool("metrics", false, "print the telemetry summary (stages, CGP, CEC/SAT) to stderr")
-		debugAddr = flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
+		debugAddr = flag.String("debug-addr", "", "serve pprof on this address (e.g. localhost:6060)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile (taken after synthesis) to this file")
 		version   = flag.Bool("version", false, "print the build identity and exit")
@@ -119,8 +117,6 @@ func run() error {
 		InitializationOnly: *initOnly,
 		WindowRounds:       *windows,
 		Script:             *script,
-		CECPortfolio:       *cecProv,
-		CECBDDBudget:       *cecBDD,
 	}
 	if *templates != "" {
 		lib, err := openTemplates(*templates)
@@ -132,12 +128,8 @@ func run() error {
 		}
 		opt.Templates = lib
 	}
-	verbose := !*quiet
-	opt.Progress = func(gen, gates, garbage int) {
-		dbgGeneration.Set(int64(gen))
-		dbgGates.Set(int64(gates))
-		dbgGarbage.Set(int64(garbage))
-		if verbose {
+	if !*quiet {
+		opt.Progress = func(gen, gates, garbage int) {
 			fmt.Printf("  gen %-8d n_r=%-5d n_g=%-5d\n", gen, gates, garbage)
 		}
 	}

@@ -8,18 +8,12 @@
 package bdd
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 )
-
-// ErrBudget reports that a budgeted manager ran out of its node budget
-// mid-construction. Once raised, the error is sticky (see Manager.Err) and
-// every result computed on the manager afterwards is meaningless.
-var ErrBudget = errors.New("bdd: node budget exhausted")
 
 // Ref is a BDD node reference. The terminals are False = 0 and True = 1.
 type Ref int32
@@ -38,38 +32,19 @@ type node struct {
 const terminalLevel = int32(1) << 30
 
 // Manager owns the shared node store for one variable ordering.
-//
-// A manager may carry a node budget (NewBudget). When construction would
-// exceed it, the manager raises ErrBudget and the error sticks: Ite
-// returns it, Err exposes it for the single-return derived operators
-// (And, Xor, Maj, ...), and all further structural results are garbage
-// until the caller discards the manager. This is what lets a portfolio
-// prover give up on a blowing-up diagram in bounded time instead of
-// exhausting memory.
 type Manager struct {
 	numVars int
 	nodes   []node
 	unique  map[node]Ref
 	iteMemo map[[3]Ref]Ref
-	budget  int   // max len(nodes) including terminals; 0 = unlimited
-	err     error // sticky ErrBudget
 }
 
-// New creates a manager over n variables (fixed natural ordering) with no
-// node budget.
+// New creates a manager over n variables (fixed natural ordering).
 func New(n int) *Manager {
-	return NewBudget(n, 0)
-}
-
-// NewBudget creates a manager over n variables whose node store may not
-// grow beyond budget nodes (terminals included). budget <= 0 means
-// unlimited.
-func NewBudget(n, budget int) *Manager {
 	m := &Manager{
 		numVars: n,
 		unique:  make(map[node]Ref),
 		iteMemo: make(map[[3]Ref]Ref),
-		budget:  budget,
 	}
 	m.nodes = append(m.nodes,
 		node{level: terminalLevel}, // False
@@ -77,11 +52,6 @@ func NewBudget(n, budget int) *Manager {
 	)
 	return m
 }
-
-// Err returns the sticky construction error: nil, or ErrBudget once the
-// node budget has been exhausted. Callers of the single-return operators
-// must check it before trusting any Ref they were handed.
-func (m *Manager) Err() error { return m.err }
 
 // NumVars returns the variable count.
 func (m *Manager) NumVars() int { return m.numVars }
@@ -92,8 +62,7 @@ func (m *Manager) Size() int { return len(m.nodes) }
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
-// rule lo == hi. Exceeding the node budget raises the sticky error and
-// returns False as a placeholder.
+// rule lo == hi.
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
@@ -101,10 +70,6 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	key := node{level: level, lo: lo, hi: hi}
 	if r, ok := m.unique[key]; ok {
 		return r
-	}
-	if m.budget > 0 && len(m.nodes) >= m.budget {
-		m.err = ErrBudget
-		return False
 	}
 	r := Ref(len(m.nodes))
 	m.nodes = append(m.nodes, key)
@@ -120,21 +85,8 @@ func (m *Manager) Var(i int) Ref {
 	return m.mk(int32(i), False, True)
 }
 
-// Ite computes if-then-else(f, g, h), the universal BDD operator. On a
-// budgeted manager it returns ErrBudget once the node budget is exhausted
-// (and keeps returning it: the condition is sticky).
-func (m *Manager) Ite(f, g, h Ref) (Ref, error) {
-	r := m.ite(f, g, h)
-	return r, m.err
-}
-
-// ite is the budget-aware ITE core shared by every operator. Once the
-// sticky error is raised it short-circuits to False without touching the
-// memo table, so no truncated result is ever cached.
-func (m *Manager) ite(f, g, h Ref) Ref {
-	if m.err != nil {
-		return False
-	}
+// Ite computes if-then-else(f, g, h), the universal BDD operator.
+func (m *Manager) Ite(f, g, h Ref) Ref {
 	// Terminal cases.
 	switch {
 	case f == True:
@@ -160,12 +112,9 @@ func (m *Manager) ite(f, g, h Ref) Ref {
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	h0, h1 := m.cofactors(h, top)
-	lo := m.ite(f0, g0, h0)
-	hi := m.ite(f1, g1, h1)
+	lo := m.Ite(f0, g0, h0)
+	hi := m.Ite(f1, g1, h1)
 	r := m.mk(top, lo, hi)
-	if m.err != nil {
-		return False
-	}
 	m.iteMemo[key] = r
 	return r
 }
@@ -179,16 +128,16 @@ func (m *Manager) cofactors(r Ref, level int32) (lo, hi Ref) {
 }
 
 // Not returns ¬f.
-func (m *Manager) Not(f Ref) Ref { return m.ite(f, False, True) }
+func (m *Manager) Not(f Ref) Ref { return m.Ite(f, False, True) }
 
 // And returns f ∧ g.
-func (m *Manager) And(f, g Ref) Ref { return m.ite(f, g, False) }
+func (m *Manager) And(f, g Ref) Ref { return m.Ite(f, g, False) }
 
 // Or returns f ∨ g.
-func (m *Manager) Or(f, g Ref) Ref { return m.ite(f, True, g) }
+func (m *Manager) Or(f, g Ref) Ref { return m.Ite(f, True, g) }
 
 // Xor returns f ⊕ g.
-func (m *Manager) Xor(f, g Ref) Ref { return m.ite(f, m.Not(g), g) }
+func (m *Manager) Xor(f, g Ref) Ref { return m.Ite(f, m.Not(g), g) }
 
 // Maj returns the three-input majority.
 func (m *Manager) Maj(f, g, h Ref) Ref {
@@ -252,9 +201,6 @@ func (m *Manager) FromAIG(a *aig.AIG) []Ref {
 		return r
 	}
 	for n := a.NumPIs() + 1; n < a.NumNodes(); n++ {
-		if m.err != nil {
-			break // budget exhausted, results are void anyway
-		}
 		f0, f1 := a.Fanins(n)
 		refs[n] = m.And(edge(f0), edge(f1))
 	}
@@ -277,9 +223,6 @@ func (m *Manager) FromNetlist(n *rqfp.Netlist) []Ref {
 		port[n.PIPort(i)] = m.Var(i)
 	}
 	for g := range n.Gates {
-		if m.err != nil {
-			break // budget exhausted, results are void anyway
-		}
 		if !active[g] {
 			continue
 		}
@@ -307,28 +250,16 @@ func (m *Manager) FromNetlist(n *rqfp.Netlist) []Ref {
 // RQFP netlist by canonical BDD comparison: equal functions hash-cons to
 // the same node.
 func EquivalentAIGNetlist(a *aig.AIG, n *rqfp.Netlist) bool {
-	eq, _ := EquivalentAIGNetlistBudget(a, n, 0)
-	return eq
-}
-
-// EquivalentAIGNetlistBudget is EquivalentAIGNetlist under a node budget
-// (0 = unlimited). It returns ErrBudget when the diagrams blow past the
-// budget before a verdict — the caller should treat that as "unknown",
-// not as inequivalence.
-func EquivalentAIGNetlistBudget(a *aig.AIG, n *rqfp.Netlist, budget int) (bool, error) {
 	if a.NumPIs() != n.NumPI || a.NumPOs() != len(n.POs) {
-		return false, nil
+		return false
 	}
-	m := NewBudget(a.NumPIs(), budget)
+	m := New(a.NumPIs())
 	oa := m.FromAIG(a)
 	on := m.FromNetlist(n)
-	if err := m.Err(); err != nil {
-		return false, err
-	}
 	for i := range oa {
 		if oa[i] != on[i] {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }

@@ -44,10 +44,7 @@ func TestCanonicity(t *testing.T) {
 		t.Fatal("AND tree not canonical")
 	}
 	g1 := m.Or(m.And(a, b), m.And(m.Not(a), c))
-	g2, err := m.Ite(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := m.Ite(a, b, c)
 	if g1 != g2 {
 		t.Fatal("mux not canonical")
 	}
@@ -184,5 +181,69 @@ func BenchmarkFromAIG12Vars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := New(12)
 		m.FromAIG(a)
+	}
+}
+
+// TestXorExhaustive5 and TestMajExhaustive5 pin the derived operators
+// against exhaustive enumeration of all 2^5 assignments over nested
+// operand structures, not just single variables.
+func TestXorExhaustive5(t *testing.T) {
+	m := New(5)
+	v := make([]Ref, 5)
+	val := make([]func(uint) bool, 5)
+	for i := range v {
+		v[i] = m.Var(i)
+		i := i
+		val[i] = func(x uint) bool { return x>>uint(i)&1 == 1 }
+	}
+	cases := []struct {
+		f    Ref
+		want func(uint) bool
+	}{
+		{m.Xor(v[0], v[1]), func(x uint) bool { return val[0](x) != val[1](x) }},
+		{m.Xor(m.Xor(v[0], v[1]), m.Xor(v[2], m.Xor(v[3], v[4]))),
+			func(x uint) bool { return (val[0](x) != val[1](x)) != (val[2](x) != (val[3](x) != val[4](x))) }},
+		{m.Xor(m.And(v[0], v[1]), m.Or(v[2], m.Not(v[3]))),
+			func(x uint) bool { return (val[0](x) && val[1](x)) != (val[2](x) || !val[3](x)) }},
+		{m.Xor(v[4], v[4]), func(uint) bool { return false }},
+	}
+	for ci, c := range cases {
+		for x := uint(0); x < 32; x++ {
+			if got := m.Eval(c.f, x); got != c.want(x) {
+				t.Fatalf("xor case %d wrong at %05b: got %v want %v", ci, x, got, c.want(x))
+			}
+		}
+	}
+}
+
+func TestMajExhaustive5(t *testing.T) {
+	m := New(5)
+	v := make([]Ref, 5)
+	val := make([]func(uint) bool, 5)
+	for i := range v {
+		v[i] = m.Var(i)
+		i := i
+		val[i] = func(x uint) bool { return x>>uint(i)&1 == 1 }
+	}
+	maj := func(a, b, c bool) bool { return (a && b) || (a && c) || (b && c) }
+	cases := []struct {
+		f    Ref
+		want func(uint) bool
+	}{
+		{m.Maj(v[0], v[1], v[2]), func(x uint) bool { return maj(val[0](x), val[1](x), val[2](x)) }},
+		{m.Maj(v[2], v[3], v[4]), func(x uint) bool { return maj(val[2](x), val[3](x), val[4](x)) }},
+		// Nested majority-of-majorities — the RQFP gate composition shape.
+		{m.Maj(m.Maj(v[0], v[1], v[2]), v[3], m.Not(v[4])),
+			func(x uint) bool { return maj(maj(val[0](x), val[1](x), val[2](x)), val[3](x), !val[4](x)) }},
+		// Degenerate operands: constants reduce MAJ to AND/OR.
+		{m.Maj(v[0], v[1], False), func(x uint) bool { return val[0](x) && val[1](x) }},
+		{m.Maj(v[0], v[1], True), func(x uint) bool { return val[0](x) || val[1](x) }},
+	}
+	for ci, c := range cases {
+		for x := uint(0); x < 32; x++ {
+			if got := m.Eval(c.f, x); got != c.want(x) {
+				t.Fatalf("maj case %d wrong at %05b: got %v want %v", ci, x, got, c.want(x))
+			}
+		}
 	}
 }

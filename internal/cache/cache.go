@@ -45,25 +45,13 @@ type Cache struct {
 	mem       *lruTier
 	disk      *diskLog // nil for memory-only caches
 	stats     Stats
-	verify    cec.PortfolioConfig // prover roster for wide-key Store checks
-	replicate func(Entry)         // publication hook for locally stored entries
+	replicate func(Entry) // publication hook for locally stored entries
 }
 
 // VerifyExhaustiveMaxPIs is the input count up to which Store verifies a
 // canonical netlist by full 2^n enumeration; wider keys are proven by the
-// equivalence prover portfolio instead (symbolically — no exponential
-// sweep).
+// SAT miter instead (symbolically — no exponential sweep).
 const VerifyExhaustiveMaxPIs = 10
-
-// SetProver configures the prover portfolio Store uses to verify
-// canonical netlists of keys wider than VerifyExhaustiveMaxPIs inputs
-// (zero values = a single authority CDCL engine). Call before concurrent
-// use.
-func (c *Cache) SetProver(provers, bddBudget int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.verify = cec.PortfolioConfig{Provers: provers, BDDBudget: bddBudget}
-}
 
 // DefaultMemEntries is the memory-tier capacity when the caller passes 0.
 const DefaultMemEntries = 1024
@@ -150,8 +138,8 @@ func (c *Cache) Lookup(tables []tt.TT) (*rqfp.Netlist, string, bool) {
 // that will actually be persisted is always verified against the canonical
 // tables — a malfunctioning transform (or a caller storing a wrong result)
 // must never poison the log. Keys up to VerifyExhaustiveMaxPIs inputs are
-// checked by exhaustive simulation; wider keys by the equivalence prover
-// portfolio (SetProver), which proves symbolically instead of sweeping 2^n
+// checked by exhaustive simulation; wider keys by the SAT miter
+// (cec.Prove), which proves symbolically instead of sweeping 2^n
 // assignments.
 func (c *Cache) Store(tables []tt.TT, net *rqfp.Netlist) (string, error) {
 	return c.store(tables, net, true)
@@ -174,7 +162,7 @@ func (c *Cache) store(tables []tt.TT, net *rqfp.Netlist, publish bool) (string, 
 		if err := verifyExhaustive(canonNet, canonTables); err != nil {
 			return "", fmt.Errorf("cache: canonical netlist failed simulation: %w", err)
 		}
-	} else if err := c.verifyPortfolio(canonNet, canonTables); err != nil {
+	} else if err := verifyProof(canonNet, canonTables); err != nil {
 		return "", fmt.Errorf("cache: canonical netlist failed verification: %w", err)
 	}
 	var sb strings.Builder
@@ -229,26 +217,23 @@ func (c *Cache) bump(f func(*Stats)) {
 	c.mu.Unlock()
 }
 
-// verifyPortfolio proves the canonical netlist against an AIG of the
-// canonical tables with the configured prover portfolio — the symbolic
-// replacement for verifyExhaustive above VerifyExhaustiveMaxPIs inputs.
-func (c *Cache) verifyPortfolio(net *rqfp.Netlist, tables []tt.TT) error {
-	c.mu.Lock()
-	cfg := c.verify
-	c.mu.Unlock()
+// verifyProof proves the canonical netlist against an AIG of the
+// canonical tables with the SAT miter — the symbolic replacement for
+// verifyExhaustive above VerifyExhaustiveMaxPIs inputs.
+func verifyProof(net *rqfp.Netlist, tables []tt.TT) error {
 	spec := aig.FromTruthTables(tables)
 	if spec.NumPIs() != net.NumPI || spec.NumPOs() != len(net.POs) {
 		return fmt.Errorf("shape mismatch: %d/%d inputs, %d/%d outputs",
 			net.NumPI, spec.NumPIs(), len(net.POs), spec.NumPOs())
 	}
-	res := cec.NewPortfolio(spec, cfg).Prove(context.Background(), net)
-	switch res.Outcome {
-	case cec.OutcomeEquivalent:
-		return nil
-	case cec.OutcomeNotEquivalent:
-		return fmt.Errorf("prover portfolio refuted the canonical netlist")
+	eq, _, _, err := cec.Prove(context.Background(), spec, net)
+	switch {
+	case err != nil:
+		return fmt.Errorf("SAT miter reached no verdict: %w", err)
+	case !eq:
+		return fmt.Errorf("SAT miter refuted the canonical netlist")
 	}
-	return fmt.Errorf("prover portfolio reached no verdict: %w", res.Err)
+	return nil
 }
 
 // verifyExhaustive simulates the netlist on every assignment (callers

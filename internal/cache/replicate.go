@@ -26,7 +26,7 @@ func (c *Cache) SetReplicator(fn func(Entry)) {
 
 // Merge adopts an entry produced by another cache instance. The netlist is
 // re-simulated locally to recover its truth tables, then stored through the
-// normal verifying path (re-canonicalization plus exhaustive or portfolio
+// normal verifying path (re-canonicalization plus exhaustive or SAT
 // verification), so a corrupt or malicious replication payload can cost CPU
 // but never poison the local store. The recomputed signature must equal the
 // advertised key — a mismatch means the sender's canonicalization disagrees

@@ -8,7 +8,7 @@ import (
 )
 
 // wideNetlist builds an 11-input MAJ cascade — wide enough that Store
-// verification must go through the prover portfolio, not the 2^n sweep.
+// verification must go through the SAT miter, not the 2^n sweep.
 func wideNetlist() *rqfp.Netlist {
 	n := rqfp.NewNetlist(11)
 	acc := n.PIPort(0)
@@ -20,39 +20,35 @@ func wideNetlist() *rqfp.Netlist {
 	return n
 }
 
-// TestCacheWideKeyPortfolioVerify covers the >VerifyExhaustiveMaxPIs
-// Store path: a correct 11-input netlist is proven and persisted by the
-// portfolio (racing roster included), while a wrong netlist for the same
-// tables is refuted and never stored.
-func TestCacheWideKeyPortfolioVerify(t *testing.T) {
+// TestCacheWideKeyVerify covers the >VerifyExhaustiveMaxPIs Store path: a
+// correct 11-input netlist is proven and persisted by the SAT miter, while
+// a wrong netlist for the same tables is refuted and never stored.
+func TestCacheWideKeyVerify(t *testing.T) {
 	net := wideNetlist()
 	tables := tablesOf(net)
-	for _, provers := range []int{0, 4} {
-		c := NewMemory(8)
-		c.SetProver(provers, 0)
-		key, err := c.Store(tables, net)
-		if err != nil {
-			t.Fatalf("provers=%d: store of a correct wide netlist failed: %v", provers, err)
+	c := NewMemory(8)
+	key, err := c.Store(tables, net)
+	if err != nil {
+		t.Fatalf("store of a correct wide netlist failed: %v", err)
+	}
+	if !strings.HasPrefix(key, "xct:11:") {
+		t.Fatalf("unexpected wide key %q", key)
+	}
+	got, _, ok := c.Lookup(tables)
+	if !ok {
+		t.Fatal("stored wide entry not found")
+	}
+	for x := uint(0); x < 64; x++ {
+		if got.EvalBool(x)[0] != net.EvalBool(x)[0] {
+			t.Fatalf("round-tripped netlist diverges at %d", x)
 		}
-		if !strings.HasPrefix(key, "xct:11:") {
-			t.Fatalf("unexpected wide key %q", key)
-		}
-		got, _, ok := c.Lookup(tables)
-		if !ok {
-			t.Fatalf("provers=%d: stored wide entry not found", provers)
-		}
-		for x := uint(0); x < 64; x++ {
-			if got.EvalBool(x)[0] != net.EvalBool(x)[0] {
-				t.Fatalf("provers=%d: round-tripped netlist diverges at %d", provers, x)
-			}
-		}
+	}
 
-		// A netlist computing a different function must be refuted by the
-		// portfolio and kept out of the log.
-		wrong := net.Clone()
-		wrong.POs[0] = rqfp.ConstPort
-		if _, err := c.Store(tables, wrong); err == nil {
-			t.Fatalf("provers=%d: wrong wide netlist was stored", provers)
-		}
+	// A netlist computing a different function must be refuted and kept
+	// out of the log.
+	wrong := net.Clone()
+	wrong.POs[0] = rqfp.ConstPort
+	if _, err := c.Store(tables, wrong); err == nil {
+		t.Fatal("wrong wide netlist was stored")
 	}
 }

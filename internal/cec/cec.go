@@ -58,14 +58,11 @@ type Spec struct {
 	// specAIG drives SAT confirmation and counterexample re-simulation in
 	// the non-exhaustive regime; nil when exhaustive.
 	specAIG *aig.AIG
-	// portfolio supplies every slow-path verdict; nil when exhaustive.
-	// Written at construction or by ConfigurePortfolio (before the first
-	// check), read concurrently afterwards.
-	portfolio *Portfolio
 
 	statsMu sync.Mutex
 	stats   Stats
 	trace   *obs.Tracer
+	scope   *obs.Scope
 }
 
 // Stats aggregates the oracle's activity across Check calls: how often the
@@ -145,6 +142,11 @@ func (s *Spec) mergeStats(st Stats) {
 // allocation-free.
 func (s *Spec) AttachTracer(t *obs.Tracer) { s.trace = t }
 
+// AttachScope routes the cec.verdict_latency histogram, one sample per SAT
+// verdict, to every registry of sc (nil detaches). Like AttachTracer it
+// must be called before the first check.
+func (s *Spec) AttachScope(sc *obs.Scope) { s.scope = sc }
+
 // Verdict is the outcome of checking one candidate.
 type Verdict struct {
 	// Match is the simulation success rate in [0,1]: the fraction of
@@ -186,7 +188,6 @@ func NewSpecFromAIG(a *aig.AIG, randomWords int, seed int64) *Spec {
 		s.stimulus = bits.RandomInputs(s.NumPI, randomWords, r)
 		s.samples = randomWords * 64
 		s.specAIG = a.Cleanup()
-		s.portfolio = NewPortfolio(s.specAIG, PortfolioConfig{})
 	}
 	s.words = len(s.stimulus[0])
 	s.golden = a.Simulate(s.stimulus)
@@ -216,7 +217,6 @@ func NewSpecFromNetlist(n *rqfp.Netlist, randomWords int, seed int64) *Spec {
 		s.stimulus = bits.RandomInputs(s.NumPI, randomWords, r)
 		s.samples = randomWords * 64
 		s.specAIG = netlistToAIG(n)
-		s.portfolio = NewPortfolio(s.specAIG, PortfolioConfig{})
 	}
 	s.words = len(s.stimulus[0])
 	s.golden = n.Simulate(s.stimulus)
@@ -340,72 +340,45 @@ func (s *Spec) finishCheck(ctx context.Context, n *rqfp.Netlist, wrong, totalBit
 	return Verdict{Match: match, Counterexample: cex, Aborted: aborted}
 }
 
-// ConfigurePortfolio replaces the spec's prover portfolio (a single
-// authority CDCL instance by default). It must be called before the first
-// check that can reach the slow path — the portfolio pointer is read
-// without locking afterwards. No-op on exhaustive specs, where simulation
-// is already the proof.
-func (s *Spec) ConfigurePortfolio(cfg PortfolioConfig) {
-	if s.specAIG == nil {
-		return
-	}
-	s.portfolio = NewPortfolio(s.specAIG, cfg)
-}
-
-// Portfolio exposes the spec's prover portfolio for engine-level
-// statistics; nil on exhaustive specs.
-func (s *Spec) Portfolio() *Portfolio { return s.portfolio }
-
-// satCheck submits the candidate to the prover portfolio. Returns
+// satCheck proves the candidate against the spec AIG. Returns
 // (true, nil, false) on proven equivalence, (false, assignment, false)
-// with a distinguishing input assignment, or (false, nil, aborted) when no
-// engine reached a verdict — aborted marks a context cancellation.
-// Counters accumulate into st without locking; the classification is
-// derived from the adopted verdict, so it stays deterministic under
-// racing (the raw CDCL counters in st.SAT are the authority instance's).
+// with a distinguishing input assignment, or (false, nil, aborted) when the
+// solver reached no verdict — aborted marks a context cancellation.
+// Counters accumulate into st without locking.
 func (s *Spec) satCheck(ctx context.Context, n *rqfp.Netlist, st *Stats) (bool, []bool, bool) {
 	start := time.Now()
-	res := s.portfolio.Prove(ctx, n)
+	eq, cex, solver, err := Prove(ctx, s.specAIG, n)
 	elapsed := time.Since(start)
-	aborted := res.Outcome == OutcomeUnknown && res.Err != nil && ctx.Err() != nil
+	if !s.scope.Empty() {
+		s.scope.Histogram("cec.verdict_latency").Observe(elapsed)
+	}
+	aborted := err != nil && ctx.Err() != nil
+	st.SATTime += elapsed
+	st.SAT.Add(solver)
 	verdict := "unknown"
 	switch {
-	case res.Outcome == OutcomeEquivalent:
-		verdict = "proved"
-	case res.Outcome == OutcomeNotEquivalent:
-		verdict = "refuted"
-	case aborted:
-		verdict = "aborted"
-	}
-	st.SATTime += elapsed
-	st.SAT.Add(res.SAT)
-	switch verdict {
-	case "proved":
-		st.SATProved++
-	case "refuted":
-		st.SATRefuted++
-	default:
+	case err != nil:
 		st.SATUnknown++
 		if aborted {
+			verdict = "aborted"
 			st.SATAborted++
 		}
+	case eq:
+		verdict = "proved"
+		st.SATProved++
+	default:
+		verdict = "refuted"
+		st.SATRefuted++
 	}
 	if s.trace != nil {
 		s.trace.Emit("cec.sat", map[string]any{
 			"verdict":   verdict,
 			"dur_us":    elapsed.Microseconds(),
-			"conflicts": res.SAT.Conflicts,
-			"decisions": res.SAT.Decisions,
+			"conflicts": solver.Conflicts,
+			"decisions": solver.Decisions,
 		})
 	}
-	switch res.Outcome {
-	case OutcomeEquivalent:
-		return true, nil, false
-	case OutcomeNotEquivalent:
-		return false, res.Counterexample, false
-	}
-	// No verdict: be conservative, treat as not equivalent.
-	return false, nil, aborted
+	return eq, cex, aborted
 }
 
 // AddCounterexample widens the stimulus by one word whose bit 0 carries the
@@ -483,6 +456,40 @@ func EncodeNetlist(b *cnf.Builder, n *rqfp.Netlist, pis []sat.Lit) []sat.Lit {
 	return outs
 }
 
+// Prove decides by CDCL on a Tseitin miter whether the active part of n
+// computes the same function as spec, honoring ctx cancellation. A
+// refutation comes with a distinguishing PI assignment in cex. A non-nil
+// error — the context's, or sat.ErrLimit — means no verdict was reached.
+// The solver's search counters are returned either way. n must have
+// spec's input count.
+func Prove(ctx context.Context, spec *aig.AIG, n *rqfp.Netlist) (eq bool, cex []bool, st sat.Stats, err error) {
+	b := cnf.NewBuilder()
+	b.S.SetContext(ctx)
+	pis := make([]sat.Lit, spec.NumPIs())
+	for i := range pis {
+		pis[i] = b.Lit()
+	}
+	candOut := EncodeNetlist(b, n, pis)
+	specPIs, specOut := spec.ToCNF(b)
+	for i := range pis {
+		b.Equal(pis[i], specPIs[i])
+	}
+	b.AddClause(b.MiterOutputs(candOut, specOut))
+	status, err := b.S.Solve()
+	st = b.S.Counters()
+	if err != nil {
+		return false, nil, st, err
+	}
+	if status == sat.Unsat {
+		return true, nil, st, nil
+	}
+	cex = make([]bool, len(pis))
+	for i, l := range pis {
+		cex[i] = b.S.ValueLit(l)
+	}
+	return false, cex, st, nil
+}
+
 // NetlistsEquivalent decides full equivalence of two RQFP netlists,
 // regardless of input count. Used by tests and the exact-synthesis harness.
 func NetlistsEquivalent(x, y *rqfp.Netlist) (bool, error) {
@@ -492,29 +499,15 @@ func NetlistsEquivalent(x, y *rqfp.Netlist) (bool, error) {
 
 // NetlistsEquivalentStats is NetlistsEquivalent plus the SAT solver's
 // search counters for the miter, so callers (e.g. rqfp-stat) can report
-// how hard the proof was. Both functions dispatch through a single-
-// authority prover portfolio over x's extracted AIG — the same layer the
-// search oracle uses.
+// how hard the proof was. x is extracted to an AIG specification and y is
+// proved against it by Prove — the check the search oracle runs. A shape
+// mismatch is an immediate refutation.
 func NetlistsEquivalentStats(x, y *rqfp.Netlist) (bool, sat.Stats, error) {
-	res := NetlistsEquivalentPortfolio(context.Background(), x, y, PortfolioConfig{})
-	switch res.Outcome {
-	case OutcomeEquivalent:
-		return true, res.SAT, nil
-	case OutcomeNotEquivalent:
-		return false, res.SAT, nil
-	}
-	return false, res.SAT, res.Err
-}
-
-// NetlistsEquivalentPortfolio races a full prover portfolio on the
-// equivalence of two RQFP netlists: x is extracted to an AIG
-// specification, y is the candidate. A shape mismatch is an immediate
-// refutation.
-func NetlistsEquivalentPortfolio(ctx context.Context, x, y *rqfp.Netlist, cfg PortfolioConfig) ProveResult {
 	if x.NumPI != y.NumPI || len(x.POs) != len(y.POs) {
-		return ProveResult{Outcome: OutcomeNotEquivalent}
+		return false, sat.Stats{}, nil
 	}
-	return NewPortfolio(netlistToAIG(x), cfg).Prove(ctx, y)
+	eq, _, st, err := Prove(context.Background(), netlistToAIG(x), y)
+	return eq, st, err
 }
 
 func netlistToAIG(n *rqfp.Netlist) *aig.AIG {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
+	"github.com/reversible-eda/rcgp/internal/obs"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 )
 
@@ -120,4 +121,50 @@ func andSpecAndConstZero() (*Spec, *rqfp.Netlist) {
 	g := n.AddGate(rqfp.Gate{In: [3]rqfp.Signal{rqfp.ConstPort, rqfp.ConstPort, rqfp.ConstPort}, Cfg: cfg})
 	n.POs = []rqfp.Signal{n.Port(g, 0)}
 	return spec, n
+}
+
+// TestProve covers the one slow-path prover directly: a proof, a
+// refutation whose counterexample is the single distinguishing
+// assignment, and no verdict under a cancelled context.
+func TestProve(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	a, n := buildPair(16, 60, 3, r)
+	eq, cex, st, err := Prove(context.Background(), a.Cleanup(), n)
+	if err != nil || !eq || cex != nil {
+		t.Fatalf("equivalent pair: eq=%v cex=%v err=%v", eq, cex, err)
+	}
+	if st.Propagations == 0 {
+		t.Fatal("no solver counters returned")
+	}
+
+	spec, zero := andSpecAndConstZero()
+	eq, cex, _, err = Prove(context.Background(), spec.specAIG, zero)
+	if err != nil || eq {
+		t.Fatalf("AND16 vs constant 0: eq=%v err=%v, want a refutation", eq, err)
+	}
+	for i, v := range cex {
+		if !v {
+			t.Fatalf("counterexample bit %d is 0; only the all-ones assignment distinguishes", i)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if eq, cex, _, err = Prove(ctx, a.Cleanup(), n); err == nil || eq || cex != nil {
+		t.Fatalf("cancelled prove: eq=%v cex=%v err=%v, want no verdict", eq, cex, err)
+	}
+}
+
+// TestVerdictLatencyScope checks that an attached scope receives one
+// cec.verdict_latency sample per SAT verdict and none for simulation
+// verdicts.
+func TestVerdictLatencyScope(t *testing.T) {
+	reg := obs.NewRegistry()
+	spec, zero := andSpecAndConstZero()
+	spec.AttachScope(obs.NewScope(reg))
+	spec.Check(zero, nil, nil) // SAT refutation, widens the stimulus
+	spec.Check(zero, nil, nil) // refuted by simulation alone
+	if got := reg.Snapshot().Histograms["cec.verdict_latency"].Count; got != 1 {
+		t.Fatalf("verdict_latency count = %d, want 1", got)
+	}
 }

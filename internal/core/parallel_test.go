@@ -113,7 +113,7 @@ func TestCombinedModesDeterminism(t *testing.T) {
 }
 
 // buildWideCase builds a 16-input spec — above the exhaustive limit, so
-// every surviving candidate goes through the prover portfolio — plus its
+// every surviving candidate goes through the SAT miter — plus its
 // equivalent-by-construction initial netlist.
 func buildWideCase() (*cec.Spec, *rqfp.Netlist) {
 	r := rand.New(rand.NewSource(31))
@@ -137,10 +137,9 @@ func buildWideCase() (*cec.Spec, *rqfp.Netlist) {
 	return cec.NewSpecFromAIG(a, 4, 7), n
 }
 
-func optimizePortfolio(t *testing.T, workers, provers int) *Result {
+func optimizeWide(t *testing.T, workers int) *Result {
 	t.Helper()
 	spec, n := buildWideCase()
-	spec.ConfigurePortfolio(cec.PortfolioConfig{Provers: provers})
 	res, err := Optimize(n, spec, Options{
 		Generations:  400,
 		Lambda:       8,
@@ -152,31 +151,31 @@ func optimizePortfolio(t *testing.T, workers, provers int) *Result {
 		t.Fatal(err)
 	}
 	if st := spec.Stats(); st.SATProved+st.SATRefuted == 0 {
-		t.Fatal("run never reached the prover portfolio (no SAT verdicts)")
+		t.Fatal("run never reached the SAT miter (no SAT verdicts)")
 	}
 	return res
 }
 
-// TestCombinedModesDeterminismPortfolio extends the combined-modes
-// determinism contract to the racing prover portfolio on a SAT-regime
-// spec: the same seed with 1 vs 2 racing provers (and 1 vs 4 workers)
-// must evolve the bit-identical final netlist with identical telemetry
-// eval splits — racing may change latency, never a trajectory. Under
-// -race it also stresses the race cancellation against the search's own
-// goroutines.
-func TestCombinedModesDeterminismPortfolio(t *testing.T) {
-	base := optimizePortfolio(t, 1, 1)
-	raced := optimizePortfolio(t, 4, 2)
-	if raced.Fitness != base.Fitness {
-		t.Fatalf("racing portfolio changed the fitness: %+v != %+v", raced.Fitness, base.Fitness)
+// TestWideSpecDeterministicAcrossWorkers extends the worker determinism
+// contract to a SAT-regime spec, where every candidate that survives the
+// random-pattern screen is confirmed by a SAT proof: 1 vs 4 workers on the
+// same seed must evolve the bit-identical final netlist with identical
+// telemetry eval splits. The other determinism tests use exhaustive specs,
+// which never reach SAT. Under -race it also stresses concurrent SAT checks
+// against the search's own goroutines.
+func TestWideSpecDeterministicAcrossWorkers(t *testing.T) {
+	base := optimizeWide(t, 1)
+	par := optimizeWide(t, 4)
+	if par.Fitness != base.Fitness {
+		t.Fatalf("4 workers changed the fitness: %+v != %+v", par.Fitness, base.Fitness)
 	}
-	if raced.Best.String() != base.Best.String() {
-		t.Fatal("racing portfolio evolved a different circuit than the single-prover run")
+	if par.Best.String() != base.Best.String() {
+		t.Fatal("4 workers evolved a different circuit than 1 worker")
 	}
-	if raced.Evaluations != base.Evaluations {
-		t.Fatalf("racing portfolio changed the evaluation count: %d != %d", raced.Evaluations, base.Evaluations)
+	if par.Evaluations != base.Evaluations {
+		t.Fatalf("4 workers changed the evaluation count: %d != %d", par.Evaluations, base.Evaluations)
 	}
-	ta, tb := base.Telemetry, raced.Telemetry
+	ta, tb := base.Telemetry, par.Telemetry
 	ta.Elapsed, tb.Elapsed = 0, 0 // only the wall clock may differ
 	if ta != tb {
 		t.Fatalf("telemetry eval splits diverged:\n%+v\n%+v", ta, tb)

@@ -105,6 +105,14 @@ type Coordinator struct {
 	// class replaces its log entry instead of appending a duplicate.
 	templates   []client.TemplateEntry
 	templateIdx map[string]int
+	// closed is set by Close; no background goroutine starts after it.
+	closed bool
+
+	// ctx is canceled by Close, and bg counts the background goroutines
+	// (replication fan-outs, old-owner cancels) Close waits for.
+	ctx    context.Context
+	cancel context.CancelFunc
+	bg     sync.WaitGroup
 
 	stop chan struct{}
 	done chan struct{}
@@ -141,15 +149,37 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if co.hc == nil {
 		co.hc = http.DefaultClient
 	}
+	co.ctx, co.cancel = context.WithCancel(context.Background())
 	go co.supervise()
 	return co
 }
 
-// Close stops the supervisor. Runners keep serving their jobs; a new
-// coordinator picks the fleet back up when they re-register.
+// Close stops the supervisor, cancels the coordinator's outgoing requests,
+// and waits for its background goroutines, so nothing posts or logs after
+// it returns. Runners keep serving their jobs; a new coordinator picks the
+// fleet back up when they re-register.
 func (co *Coordinator) Close() {
+	co.mu.Lock()
+	co.closed = true
+	co.mu.Unlock()
+	co.cancel()
 	close(co.stop)
 	<-co.done
+	co.bg.Wait()
+}
+
+// goLocked runs f on a background goroutine whose context Close cancels
+// and which Close waits for. Once Close has begun it starts nothing.
+// co.mu must be held.
+func (co *Coordinator) goLocked(f func(ctx context.Context)) {
+	if co.closed {
+		return
+	}
+	co.bg.Add(1)
+	go func() {
+		defer co.bg.Done()
+		f(co.ctx)
+	}()
 }
 
 func ownerKey(runnerID, runnerJob string) string {
@@ -564,18 +594,12 @@ func (co *Coordinator) PublishEntry(pr publishRequest) {
 		}
 	}
 	co.reg.Gauge("fleet.replication_log").Set(int64(len(co.entries)))
-	co.mu.Unlock()
 	co.reg.Counter("fleet.entries_published").Inc()
-	go func() {
-		for _, c := range targets {
-			if err := co.postJSON(c.BaseURL+"/fleet/cache", pr.Entry); err != nil {
-				co.reg.Counter("fleet.replication_errors").Inc()
-				co.logf("fleet: replicating %s: %v", pr.Entry.Key, err)
-				continue
-			}
-			co.reg.Counter("fleet.entries_replicated").Inc()
-		}
-	}()
+	co.goLocked(func(ctx context.Context) {
+		co.fanOut(ctx, targets, "/fleet/cache", pr.Entry, pr.Entry.Key,
+			"fleet.entries_replicated", "fleet.replication_errors")
+	})
+	co.mu.Unlock()
 }
 
 // PublishTemplate folds a runner's learned identity template into the
@@ -601,18 +625,29 @@ func (co *Coordinator) PublishTemplate(tr templatePublishRequest) {
 		}
 	}
 	co.reg.Gauge("fleet.template_log").Set(int64(len(co.templates)))
-	co.mu.Unlock()
 	co.reg.Counter("fleet.templates_published").Inc()
-	go func() {
-		for _, c := range targets {
-			if err := co.postJSON(c.BaseURL+"/fleet/template", tr.Entry); err != nil {
-				co.reg.Counter("fleet.template_replication_errors").Inc()
-				co.logf("fleet: replicating template %s: %v", tr.Entry.Key, err)
-				continue
-			}
-			co.reg.Counter("fleet.templates_replicated").Inc()
+	co.goLocked(func(ctx context.Context) {
+		co.fanOut(ctx, targets, "/fleet/template", tr.Entry, "template "+tr.Entry.Key,
+			"fleet.templates_replicated", "fleet.template_replication_errors")
+	})
+	co.mu.Unlock()
+}
+
+// fanOut posts one replication payload to path on every target, counting
+// deliveries and failures. It stops quietly once ctx is canceled.
+func (co *Coordinator) fanOut(ctx context.Context, targets []*client.Client, path string, payload any, what, okCounter, errCounter string) {
+	for _, c := range targets {
+		err := co.postJSON(ctx, c.BaseURL+path, payload, nil)
+		if ctx.Err() != nil {
+			return
 		}
-	}()
+		if err != nil {
+			co.reg.Counter(errCounter).Inc()
+			co.logf("fleet: replicating %s: %v", what, err)
+			continue
+		}
+		co.reg.Counter(okCounter).Inc()
+	}
 }
 
 // PublishCheckpoint records the latest snapshot of a fleet job so the
@@ -635,13 +670,19 @@ func (co *Coordinator) PublishCheckpoint(cr checkpointRequest) {
 }
 
 // postJSON is the coordinator-to-runner push primitive (replication and
-// hand-off payloads ride on it).
-func (co *Coordinator) postJSON(url string, v any) error {
+// hand-off payloads ride on it). It decodes a 2xx response body into out
+// unless out is nil.
+func (co *Coordinator) postJSON(ctx context.Context, url string, v, out any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	resp, err := co.hc.Post(url, "application/json", bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := co.hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -650,7 +691,10 @@ func (co *Coordinator) postJSON(url string, v any) error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("fleet: %s: %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return nil
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // supervise is the control loop: detect dead runners, relocate their
@@ -739,21 +783,21 @@ func (co *Coordinator) relocateTo(fj *fleetJob, rs *runnerState, counter string)
 	co.mu.Unlock()
 
 	var j client.Job
-	err := co.postJSONResult(rs.c.BaseURL+"/fleet/resume",
+	err := co.postJSON(co.ctx, rs.c.BaseURL+"/fleet/resume",
 		client.HandoffRequest{Request: req, Checkpoint: cp}, &j)
 	if err != nil {
 		co.logf("fleet: hand-off of %s to %s failed: %v", fj.id, rs.id, err)
 		co.orphan(fj)
 		return
 	}
+	co.mu.Lock()
 	if oldClient != nil {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*co.cfg.HeartbeatEvery)
+		co.goLocked(func(ctx context.Context) {
+			ctx, cancel := context.WithTimeout(ctx, 10*co.cfg.HeartbeatEvery)
 			defer cancel()
 			oldClient.Cancel(ctx, oldRunnerJob)
-		}()
+		})
 	}
-	co.mu.Lock()
 	delete(co.byOwner, oldOwner)
 	fj.runnerID = rs.id
 	fj.runnerJob = j.ID
@@ -850,7 +894,7 @@ func (co *Coordinator) stealWork() {
 	// Confirm it is still queued right before pulling it: a job that
 	// started running is left alone (stealing it would discard search
 	// progress for no queue-latency win).
-	ctx, cancel := context.WithTimeout(context.Background(), 10*co.cfg.HeartbeatEvery)
+	ctx, cancel := context.WithTimeout(co.ctx, 10*co.cfg.HeartbeatEvery)
 	defer cancel()
 	j, err := victim.c.Job(ctx, runnerJob)
 	if err != nil || j.Status != client.StatusQueued {
@@ -864,24 +908,6 @@ func (co *Coordinator) unmarkMigrating(fj *fleetJob) {
 	co.mu.Lock()
 	fj.migrating = false
 	co.mu.Unlock()
-}
-
-// postJSONResult posts a payload and decodes the 2xx response body.
-func (co *Coordinator) postJSONResult(url string, v, out any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	resp, err := co.hc.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("fleet: %s: %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func (co *Coordinator) updateTopologyGaugesLocked() {

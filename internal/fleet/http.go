@@ -22,7 +22,7 @@ import (
 // Handler returns the coordinator's HTTP API. The job-facing routes are
 // the same ones rcgp-serve exposes — POST /synthesize, GET /jobs,
 // GET /jobs/{id} (+ /progress, /trace), DELETE /jobs/{id}, GET /healthz,
-// /metricsz, /metrics, /benchmarks — so the client package and every
+// /metrics, /benchmarks — so the client package and every
 // existing tool work unchanged against a fleet. The /fleet/* routes are
 // the control plane:
 //
@@ -41,7 +41,6 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", co.handleTrace)
 	mux.HandleFunc("DELETE /jobs/{id}", co.handleCancel)
 	mux.HandleFunc("GET /healthz", co.handleHealth)
-	mux.HandleFunc("GET /metricsz", co.handleMetrics)
 	mux.HandleFunc("GET /metrics", co.handlePrometheus)
 	mux.HandleFunc("GET /benchmarks", co.handleBenchmarks)
 	mux.HandleFunc("POST /fleet/register", co.handleRegister)
@@ -119,20 +118,6 @@ func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h.Revision = buildinfo.Revision()
 	h.GoVersion = buildinfo.GoVersion()
 	writeJSON(w, http.StatusOK, h)
-}
-
-// fleetMetricsPayload is the coordinator's /metricsz body: the registry
-// snapshot plus the topology table.
-type fleetMetricsPayload struct {
-	obs.Snapshot
-	Runners []client.RunnerInfo `json:"runners,omitempty"`
-}
-
-func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, fleetMetricsPayload{
-		Snapshot: co.reg.Snapshot(),
-		Runners:  co.Runners(),
-	})
 }
 
 // handlePrometheus is GET /metrics: the coordinator registry plus the

@@ -55,14 +55,6 @@ type Options struct {
 	// same chromosome/mutations), or "hybrid" (half the budget each,
 	// annealing seeded with the CGP result).
 	Optimizer string
-	// CECPortfolio is the number of equivalence provers raced per slow-path
-	// check (0 or 1 = the single authority CDCL engine). Racing changes
-	// latency only — verdicts, counterexamples, and per-seed trajectories
-	// are prover-count-independent (see cec.Portfolio).
-	CECPortfolio int
-	// CECBDDBudget bounds the portfolio's BDD prover node count
-	// (0 = cec.DefaultBDDBudget).
-	CECBDDBudget int
 	// Templates, when non-nil, enables the search-free identity-template
 	// rewriting pass: the default script runs it after the search stage,
 	// and scripts may invoke it explicitly as "template". Runtime-learned
@@ -121,9 +113,6 @@ type Result struct {
 	// SAT-proved checks and the accumulated solver statistics. Window
 	// rounds use their own local oracles, which are not included.
 	CEC cec.Stats
-	// CECEngines is the per-engine racing record of the oracle's prover
-	// portfolio (empty when the spec was exhaustive and no portfolio ran).
-	CECEngines []cec.EngineStat
 	// Obs is the final snapshot of the run's metric registry.
 	Obs obs.Snapshot
 
@@ -222,16 +211,14 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 		cgpOpt.Trace = opt.Trace
 	}
 	st := &pass.State{
-		Spec:         spec,
-		SynthEffort:  opt.SynthEffort,
-		CGP:          cgpOpt,
-		RandomWords:  opt.RandomWords,
-		CECPortfolio: opt.CECPortfolio,
-		CECBDDBudget: opt.CECBDDBudget,
-		Templates:    opt.Templates,
-		Reg:          reg,
-		Scope:        scope,
-		Tracer:       opt.Trace,
+		Spec:        spec,
+		SynthEffort: opt.SynthEffort,
+		CGP:         cgpOpt,
+		RandomWords: opt.RandomWords,
+		Templates:   opt.Templates,
+		Reg:         reg,
+		Scope:       scope,
+		Tracer:      opt.Trace,
 	}
 	if err := mgr.Run(ctx, st); err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
@@ -264,11 +251,8 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 	}
 	if st.Oracle != nil {
 		res.CEC = st.Oracle.Stats()
-		if pf := st.Oracle.Portfolio(); pf != nil {
-			res.CECEngines = pf.Engines()
-		}
 	}
-	recordRunMetrics(scope, res, opt)
+	recordRunMetrics(scope, res)
 	res.Obs = reg.Snapshot()
 	res.Runtime = time.Since(start)
 	if opt.Trace != nil {
@@ -282,10 +266,9 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 }
 
 // recordRunMetrics folds the run's counters into every registry of the
-// scope so a single snapshot (or the -debug-addr expvar endpoint, or a
-// job's /jobs/{id} view) carries the whole picture: CGP search effort,
-// oracle verdict mix, and SAT work.
-func recordRunMetrics(reg *obs.Scope, res *Result, opt Options) {
+// scope so a single snapshot (or a job's /jobs/{id} view) carries the
+// whole picture: CGP search effort, oracle verdict mix, and SAT work.
+func recordRunMetrics(reg *obs.Scope, res *Result) {
 	if res.CGP != nil {
 		tel := res.CGP.Telemetry
 		reg.Counter("cgp.evaluations").Add(tel.Evaluations)
@@ -317,24 +300,6 @@ func recordRunMetrics(reg *obs.Scope, res *Result, opt Options) {
 	reg.Counter("sat.propagations").Add(cs.SAT.Propagations)
 	reg.Counter("sat.restarts").Add(cs.SAT.Restarts)
 	reg.Counter("sat.aborted").Add(cs.SAT.Aborted)
-
-	// Per-engine portfolio counters. The configured roster is registered
-	// even at zero (exhaustive specs never race) so /metrics always
-	// exposes the rcgp_cec_engine_* families for the engines in play.
-	engines := res.CECEngines
-	if len(engines) == 0 {
-		cfg := cec.PortfolioConfig{Provers: opt.CECPortfolio}
-		for _, name := range cfg.EngineNames() {
-			engines = append(engines, cec.EngineStat{Name: name})
-		}
-	}
-	for _, e := range engines {
-		p := "cec.engine_" + e.Name
-		reg.Counter(p + "_wins").Add(e.Wins)
-		reg.Counter(p + "_proved").Add(e.Proved)
-		reg.Counter(p + "_refuted").Add(e.Refuted)
-		reg.Counter(p + "_unknown").Add(e.Unknown)
-	}
 }
 
 // RunTables is Run for a truth-table specification.

@@ -231,11 +231,7 @@ func (p *convertPass) Run(ctx context.Context, st *State) error {
 		words = p.words
 	}
 	st.Oracle = cec.NewSpecFromAIG(st.Spec, words, st.CGP.Seed+1)
-	st.Oracle.ConfigurePortfolio(cec.PortfolioConfig{
-		Provers:   st.CECPortfolio,
-		BDDBudget: st.CECBDDBudget,
-		Scope:     st.Scope,
-	})
+	st.Oracle.AttachScope(st.Scope)
 	st.Oracle.AttachTracer(st.Tracer)
 	// The manager's post-pass hook performs the initialization check.
 	return nil

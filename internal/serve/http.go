@@ -29,11 +29,10 @@ import (
 //	                            submitted with "trace": true
 //	DELETE /jobs/{id}           cancel a queued or running job
 //	GET    /healthz             liveness + build identity + queue/cache summary
-//	GET    /metricsz            metrics registry snapshot as JSON (counters,
-//	                            gauges, latency histograms) plus cache stats
-//	GET    /metrics             the same registry in Prometheus text
-//	                            exposition format 0.0.4, plus Go runtime
-//	                            and build-info metrics
+//	GET    /metrics             the metrics registry (counters, gauges,
+//	                            latency histograms) in Prometheus text
+//	                            exposition format 0.0.4, plus Go runtime,
+//	                            build-info, cache and template metrics
 //	GET    /benchmarks          built-in benchmark names, sorted
 //
 // Every request's latency is observed into the "serve.http_request"
@@ -47,7 +46,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metricsz", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	mux.HandleFunc("GET /benchmarks", s.handleBenchmarks)
 	mux.HandleFunc("POST /fleet/resume", s.handleResume)
@@ -183,25 +181,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Health())
 }
 
-// metricsPayload is the /metricsz body: the registry snapshot with the
-// cache counters alongside.
-type metricsPayload struct {
-	obs.Snapshot
-	Cache     any `json:"cache,omitempty"`
-	Templates any `json:"templates,omitempty"`
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	p := metricsPayload{Snapshot: s.reg.Snapshot()}
-	if s.cfg.Cache != nil {
-		p.Cache = s.cfg.Cache.Stats()
-	}
-	if s.cfg.Templates != nil {
-		p.Templates = s.cfg.Templates.Stats()
-	}
-	writeJSON(w, http.StatusOK, p)
-}
-
 // handlePrometheus is GET /metrics: the server registry in Prometheus text
 // exposition format 0.0.4, followed by Go runtime gauges, the build-info
 // metric, and (when a cache is attached) the cache counters. Rendered into
@@ -239,6 +218,9 @@ func writeCacheMetrics(w *bytes.Buffer, cs rcgp.CacheStats) {
 	counter("rcgp_cache_stores_total", "Results stored into the cache.", cs.Stores)
 	counter("rcgp_cache_bad_entries_total", "Cache entries rejected by re-verification.", cs.BadEntries)
 	counter("rcgp_cache_disk_promotes_total", "Disk-tier entries promoted into memory.", cs.DiskPromotes)
+	counter("rcgp_cache_merges_total", "Replicated entries adopted from the fleet.", cs.Merges)
+	counter("rcgp_cache_merge_skips_total", "Replicated entries skipped as already present.", cs.MergeSkips)
+	counter("rcgp_cache_merge_rejects_total", "Replicated entries refused by re-verification.", cs.MergeRejects)
 	gauge("rcgp_cache_mem_entries", "Entries resident in the in-memory cache tier.", int64(cs.MemEntries))
 	gauge("rcgp_cache_disk_entries", "Entries resident in the on-disk cache tier.", int64(cs.DiskEntries))
 }

@@ -304,6 +304,7 @@ func TestProgressStreamTelemetryAndTrace(t *testing.T) {
 		"go_goroutines",
 		"rcgp_build_info{",
 		"rcgp_cache_hits_total",
+		"rcgp_cache_merges_total",
 	} {
 		if !strings.Contains(mbody, want) {
 			t.Errorf("/metrics missing %q", want)

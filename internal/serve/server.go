@@ -61,13 +61,6 @@ type Config struct {
 	// FlightCap bounds the flight samples retained per job for the
 	// /jobs/{id}/progress stream (default 2048; oldest evicted first).
 	FlightCap int
-	// CECPortfolio is the number of equivalence provers raced per
-	// slow-path check on wide jobs (0 or 1 = single authority engine).
-	// Racing never changes a verdict or an evolved circuit, only latency.
-	CECPortfolio int
-	// CECBDDBudget bounds the portfolio's BDD prover node count
-	// (0 = the library default).
-	CECBDDBudget int
 	// Registry receives the server metrics (default obs.Default).
 	Registry *obs.Registry
 	// Logf, when set, receives operational log lines.
@@ -519,8 +512,6 @@ func (s *Server) options(j *job, workers int) rcgp.Options {
 	if !req.NoTemplates {
 		opt.Templates = s.cfg.Templates
 	}
-	opt.CECPortfolio = s.cfg.CECPortfolio
-	opt.CECBDDBudget = s.cfg.CECBDDBudget
 	opt.CheckpointEvery = s.cfg.CheckpointEvery
 	opt.CheckpointSink = func(cp rcgp.Checkpoint) { s.noteCheckpoint(j, cp) }
 	if j.resume != nil {
@@ -598,7 +589,7 @@ func (s *Server) runJob(j *job, workers int) {
 
 	// Every metric the pipeline records fans out to the job's private
 	// registry (served on GET /jobs/{id}) and the server registry (the
-	// cross-job aggregate behind /metrics and /metricsz).
+	// cross-job aggregate behind /metrics).
 	ctx = obs.WithScope(ctx, obs.NewScope(j.reg, s.reg))
 	res, err := j.design.SynthesizeContext(ctx, s.options(j, workers))
 	var result *client.Result

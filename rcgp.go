@@ -217,17 +217,6 @@ type Options struct {
 	// Optimizer are ignored; the remaining options (Seed, Generations,
 	// Workers, …) become the baseline that script options override.
 	Script string
-	// CECPortfolio is the number of equivalence provers raced per
-	// slow-path check on wide (>14-input) designs: 0 or 1 keeps the
-	// classic single-prover path (the authority CDCL miter); 2 or more
-	// races it against a budgeted BDD comparator (first definitive verdict
-	// wins; larger values are clamped to 2). Racing changes latency only:
-	// the adopted verdicts and counterexamples — and therefore the evolved
-	// circuit per seed — are identical for either roster.
-	CECPortfolio int
-	// CECBDDBudget bounds the portfolio's BDD prover node count; the BDD
-	// engine answers "unknown" beyond it (0 = a generous default).
-	CECBDDBudget int
 	// Cache, when non-nil, is consulted before the search (a hit returns a
 	// stored, formally re-verified netlist for the function's NPN class
 	// without evolving anything) and updated with the result afterwards.
@@ -345,13 +334,6 @@ func NewMemoryCache(memEntries int) *Cache {
 
 // Close flushes and closes the persistent tier, if any.
 func (c *Cache) Close() error { return c.c.Close() }
-
-// SetProver configures the equivalence-prover portfolio the cache uses to
-// verify entries too wide for exhaustive simulation before storing them:
-// provers is the racing roster size (0 or 1 = single authority engine),
-// bddBudget bounds the BDD prover's node count (0 = library default).
-// Call before sharing the cache between jobs.
-func (c *Cache) SetProver(provers, bddBudget int) { c.c.SetProver(provers, bddBudget) }
 
 // CacheEntry is one replicable canonical-result record: the netlist of an
 // NPN class representative under its class key. Entries are the unit of
@@ -643,8 +625,6 @@ func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, e
 		Resub:        opt.Resubstitution,
 		Optimizer:    opt.Optimizer,
 		Script:       opt.Script,
-		CECPortfolio: opt.CECPortfolio,
-		CECBDDBudget: opt.CECBDDBudget,
 		Templates:    templatesOf(opt.Templates),
 		CGP: core.Options{
 			Lambda:       opt.Lambda,

@@ -52,24 +52,6 @@ type CECStats struct {
 	Counterexamples int64
 	SATTime         time.Duration
 	Solver          SATStats
-	// Engines is the per-engine racing record of the prover portfolio, in
-	// deterministic priority order (authority first). Empty when the spec
-	// was exhaustive — simulation is already the proof and no portfolio
-	// query ever ran.
-	Engines []EngineStat
-}
-
-// EngineStat is one equivalence-prover engine's cumulative record over a
-// run: how many racing queries its verdict was adopted for (Wins), its own
-// answer mix, and the wall clock spent inside it. Wins/latency are
-// timing-dependent under racing; the adopted verdicts are not.
-type EngineStat struct {
-	Name    string
-	Wins    int64
-	Proved  int64
-	Refuted int64
-	Unknown int64
-	Time    time.Duration
 }
 
 // MutationStat reports one RQFP-aware mutation kind ("config",
@@ -182,16 +164,6 @@ func telemetryFromFlow(res *flow.Result) Telemetry {
 			GatesAfter: rep.GatesAfter, GatesSaved: rep.GatesSaved,
 			Learned: rep.Learned, Elapsed: rep.Elapsed,
 		}
-	}
-	for _, e := range res.CECEngines {
-		t.CEC.Engines = append(t.CEC.Engines, EngineStat{
-			Name:    e.Name,
-			Wins:    e.Wins,
-			Proved:  e.Proved,
-			Refuted: e.Refuted,
-			Unknown: e.Unknown,
-			Time:    e.Time,
-		})
 	}
 	t.Stages = make([]StageTime, len(res.StageTimes))
 	for i, st := range res.StageTimes {
