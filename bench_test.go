@@ -272,8 +272,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 // (1+λ) engine on an 8-input circuit (hwb8): same seed, same generation
 // budget, 1/2/4/8 evaluation workers. The evals/sec metric comes from the
 // run's own telemetry; the gates metric doubles as the determinism witness
-// (it must not move with the worker count). results/bench_parallel.sh
-// records the same sweep as BENCH_parallel.json.
+// (it must not move with the worker count).
 func BenchmarkParallelEvaluation(b *testing.B) {
 	c := bench.HWB(8)
 	for _, workers := range []int{1, 2, 4, 8} {

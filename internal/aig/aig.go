@@ -124,9 +124,6 @@ func (a *AIG) POs() []Lit { return a.pos }
 // AddPO appends a primary output driven by the given edge.
 func (a *AIG) AddPO(l Lit) { a.pos = append(a.pos, l) }
 
-// SetPO replaces output i's driver.
-func (a *AIG) SetPO(i int, l Lit) { a.pos[i] = l }
-
 // And returns an edge computing x AND y, reusing structure when possible.
 func (a *AIG) And(x, y Lit) Lit {
 	// Trivial cases.

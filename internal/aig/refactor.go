@@ -1,7 +1,5 @@
 package aig
 
-import "github.com/reversible-eda/rcgp/internal/tt"
-
 // RefactorGlobalMaxPIs bounds the collapse-based global refactoring; above
 // this input count the pass is skipped (the cut-based Rewrite still runs).
 const RefactorGlobalMaxPIs = 14
@@ -26,8 +24,3 @@ func (a *AIG) RefactorGlobal() *AIG {
 	}
 	return clean
 }
-
-// CollapseOutputs returns the truth table of every output over the primary
-// inputs (panics above tt.MaxVars inputs). Convenience wrapper used by the
-// flow and the equivalence oracle.
-func (a *AIG) CollapseOutputs() []tt.TT { return a.TruthTables() }

@@ -53,12 +53,6 @@ func New(n int) *Manager {
 	return m
 }
 
-// NumVars returns the variable count.
-func (m *Manager) NumVars() int { return m.numVars }
-
-// Size returns the number of live nodes (including terminals).
-func (m *Manager) Size() int { return len(m.nodes) }
-
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction

@@ -42,7 +42,7 @@ func (c Circuit) GarbageLowerBound() int {
 
 // Permutation returns the output map of a square circuit and whether it is
 // a bijection — i.e. whether the benchmark is a genuinely reversible
-// function that internal/revsynth can turn into an MCT cascade.
+// function.
 func (c Circuit) Permutation() ([]uint, bool) {
 	if c.NumPI != c.NumPO {
 		return nil, false

@@ -53,9 +53,6 @@ func (v Vec) Fill(word uint64) {
 	}
 }
 
-// Zero clears v.
-func (v Vec) Zero() { v.Fill(0) }
-
 // Ones sets the first n samples of v to one and clears the rest.
 func (v Vec) Ones(n int) {
 	v.Fill(^uint64(0))

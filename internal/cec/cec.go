@@ -235,23 +235,6 @@ func (s *Spec) Words() int {
 	return s.words
 }
 
-// Samples returns the number of stimulus patterns.
-func (s *Spec) Samples() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.samples
-}
-
-// StimulusGen returns the spec's unique identity and the current stimulus
-// generation. The generation advances on every AddCounterexample; holders
-// of resident simulation state (SimContext stimulus tags, the incremental
-// evaluator's parent vectors) compare it to decide whether to re-sync.
-func (s *Spec) StimulusGen() (id, gen uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.id, s.gen
-}
-
 // Check evaluates a candidate netlist, immediately folding any SAT
 // counterexample back into the stimulus. sim must be sized for the netlist
 // and the spec's word count; pass nil to allocate a fresh context. Check

@@ -39,12 +39,6 @@ type Incremental struct {
 	poDirty []bool // per-PO scratch for CheckDelta
 }
 
-// NewIncremental wraps spec with a private View. Call SetParent before
-// CheckDelta.
-func NewIncremental(spec *Spec) *Incremental {
-	return NewIncrementalView(spec.NewView())
-}
-
 // NewIncrementalView wraps an existing View — the sharing hook for an
 // evaluator that already owns a view for its full-evaluation path, so both
 // paths feed one statistics shard and re-sync one snapshot.

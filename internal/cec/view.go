@@ -40,15 +40,9 @@ func (s *Spec) NewView() *View {
 	return v
 }
 
-// Spec returns the wrapped specification.
-func (v *View) Spec() *Spec { return v.spec }
-
 // Fresh reports — with one atomic load, no lock — whether the snapshot
 // still matches the spec's stimulus generation.
 func (v *View) Fresh() bool { return v.gen == v.spec.genLive.Load() }
-
-// Gen returns the snapshotted stimulus generation.
-func (v *View) Gen() uint64 { return v.gen }
 
 // Words returns the snapshotted stimulus width in 64-bit words.
 func (v *View) Words() int { return v.words }

@@ -40,11 +40,10 @@ type encodeOptions struct {
 
 // newEncoding builds the full exact-synthesis encoding for r gates over the
 // given output tables.
-func newEncoding(tables []tt.TT, r int, opt encodeOptions, conflictLimit int64) *encoding {
+func newEncoding(tables []tt.TT, r int, opt encodeOptions) *encoding {
 	n := tables[0].N
 	numPat := 1 << uint(n)
 	b := cnf.NewBuilder()
-	b.S.ConflictLimit = conflictLimit
 
 	// Candidate source ports for gate i input j: the constant, the PIs,
 	// and ports of gates < i. Port numbering matches rqfp.Netlist.

@@ -1,9 +1,9 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 	"github.com/reversible-eda/rcgp/internal/sat"
@@ -14,8 +14,6 @@ import (
 type EnumerateOptions struct {
 	// ConflictLimit bounds each SAT call (0 = unlimited).
 	ConflictLimit int64
-	// TimeBudget bounds the whole enumeration (0 = unlimited).
-	TimeBudget time.Duration
 	// MaxCircuits stops the enumeration after that many witnesses
 	// (0 = exhaust the space).
 	MaxCircuits int
@@ -52,14 +50,10 @@ func EnumerateFixed(tables []tt.TT, r int, opt EnumerateOptions, fn func(*rqfp.N
 	if r < 1 {
 		return 0, errors.New("exact: enumeration wants at least one gate")
 	}
-	var deadline time.Time
-	if opt.TimeBudget > 0 {
-		deadline = time.Now().Add(opt.TimeBudget)
-	}
-	e := newEncoding(tables, r, encodeOptions{garbageBudget: 3*r + n, liveGates: true}, opt.ConflictLimit)
+	e := newEncoding(tables, r, encodeOptions{garbageBudget: 3*r + n, liveGates: true})
 	count := 0
 	for {
-		st, err := solveWithDeadline(e.b.S, opt.ConflictLimit, deadline)
+		st, err := solve(context.TODO(), e.b.S, opt.ConflictLimit)
 		if err != nil {
 			return count, err
 		}
@@ -99,45 +93,6 @@ func IdentityTables(n int) []tt.TT {
 		tables[k] = tt.FromFunc(n, func(x uint) bool { return x>>uint(k)&1 == 1 })
 	}
 	return tables
-}
-
-// EnumerateIdentities enumerates every RQFP circuit on n lines computing
-// the identity function with 1..maxGates gates (each gate count
-// exhaustively, smaller counts first). These are the raw material of the
-// template library: every contiguous cut of an identity circuit is a
-// function together with an implementation that some larger circuit may be
-// rewritten down to.
-func EnumerateIdentities(n, maxGates int, opt EnumerateOptions, fn func(*rqfp.Netlist) bool) (int, error) {
-	if n < 1 {
-		return 0, errors.New("exact: identity enumeration wants at least one line")
-	}
-	tables := IdentityTables(n)
-	total := 0
-	for r := 1; r <= maxGates; r++ {
-		remaining := EnumerateOptions{ConflictLimit: opt.ConflictLimit, TimeBudget: opt.TimeBudget}
-		if opt.MaxCircuits > 0 {
-			remaining.MaxCircuits = opt.MaxCircuits - total
-			if remaining.MaxCircuits <= 0 {
-				return total, ErrEnumIncomplete
-			}
-		}
-		stopped := false
-		count, err := EnumerateFixed(tables, r, remaining, func(net *rqfp.Netlist) bool {
-			if !fn(net) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		total += count
-		if err != nil {
-			return total, err
-		}
-		if stopped {
-			return total, nil
-		}
-	}
-	return total, nil
 }
 
 // normalizeGarbageConfigs zeroes the inverter bits of majority outputs no

@@ -16,6 +16,7 @@
 package exact
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -50,38 +51,21 @@ type Result struct {
 // instances reproduce the paper's "\" (no solution within the limit) rows.
 var ErrTimeout = errors.New("exact: budget exhausted")
 
-// solveWithDeadline runs the solver in bounded conflict chunks so a single
-// hard instance cannot overrun the wall-clock budget. A zero deadline and
-// zero conflict limit solve to completion.
-func solveWithDeadline(s *sat.Solver, conflictLimit int64, deadline time.Time) (sat.Status, error) {
-	if conflictLimit <= 0 && deadline.IsZero() {
-		// Unbudgeted: one uninterrupted solve (no restart perturbation).
-		s.ConflictLimit = 0
-		return s.Solve()
-	}
-	const chunk = 50000
-	startConflicts, _, _, _ := s.Stats()
-	for {
+// solve runs one uninterrupted SAT call. conflictLimit > 0 caps the
+// conflicts of this call; a deadline on ctx stops the search within a few
+// hundred conflicts of expiring. Either budget running out yields Unknown.
+func solve(ctx context.Context, s *sat.Solver, conflictLimit int64) (sat.Status, error) {
+	s.ConflictLimit = 0
+	if conflictLimit > 0 {
 		conflicts, _, _, _ := s.Stats()
-		s.ConflictLimit = conflicts + chunk
-		if conflictLimit > 0 && s.ConflictLimit > startConflicts+conflictLimit {
-			s.ConflictLimit = startConflicts + conflictLimit
-		}
-		st, err := s.Solve()
-		if err == nil {
-			return st, nil
-		}
-		if !errors.Is(err, sat.ErrLimit) {
-			return sat.Unknown, err
-		}
-		conflicts, _, _, _ = s.Stats()
-		if conflictLimit > 0 && conflicts >= startConflicts+conflictLimit {
-			return sat.Unknown, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return sat.Unknown, nil
-		}
+		s.ConflictLimit = conflicts + conflictLimit
 	}
+	s.SetContext(ctx)
+	st, err := s.Solve()
+	if errors.Is(err, sat.ErrLimit) || errors.Is(err, context.DeadlineExceeded) {
+		return sat.Unknown, nil
+	}
+	return st, err
 }
 
 // ErrUnsat reports that no circuit exists within MaxGates.
@@ -103,21 +87,19 @@ func Synthesize(tables []tt.TT, opt Options) (*Result, error) {
 		opt.MaxGates = 8
 	}
 	start := time.Now()
-	expired := func() bool {
-		return opt.TimeBudget > 0 && time.Since(start) > opt.TimeBudget
-	}
-
-	var deadline time.Time
+	ctx := context.TODO()
 	if opt.TimeBudget > 0 {
-		deadline = start.Add(opt.TimeBudget)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, start.Add(opt.TimeBudget))
+		defer cancel()
 	}
 	for r := 1; r <= opt.MaxGates; r++ {
-		if expired() {
+		if ctx.Err() != nil {
 			return nil, ErrTimeout
 		}
 		// Unlimited garbage first: every port may dangle.
 		maxGarbage := 3*r + n
-		net, st, err := solveFixedDeadline(tables, r, maxGarbage, opt.ConflictLimit, deadline)
+		net, st, err := solveFixed(ctx, tables, r, maxGarbage, opt.ConflictLimit)
 		if err != nil {
 			return nil, err
 		}
@@ -130,10 +112,10 @@ func Synthesize(tables []tt.TT, opt Options) (*Result, error) {
 		best := &Result{Netlist: net, Gates: r, Garbage: net.Garbage()}
 		if !opt.SkipGarbageMinimization {
 			for g := best.Garbage - 1; g >= 0; g-- {
-				if expired() {
+				if ctx.Err() != nil {
 					break
 				}
-				net, st, err = solveFixedDeadline(tables, r, g, opt.ConflictLimit, deadline)
+				net, st, err = solveFixed(ctx, tables, r, g, opt.ConflictLimit)
 				if err != nil {
 					return nil, err
 				}
@@ -156,12 +138,12 @@ func Synthesize(tables []tt.TT, opt Options) (*Result, error) {
 // SynthesizeFixed decides feasibility for an exact gate count and garbage
 // budget, returning the witness netlist on success.
 func SynthesizeFixed(tables []tt.TT, gates, garbage int, conflictLimit int64) (*rqfp.Netlist, sat.Status, error) {
-	return solveFixedDeadline(tables, gates, garbage, conflictLimit, time.Time{})
+	return solveFixed(context.TODO(), tables, gates, garbage, conflictLimit)
 }
 
-func solveFixedDeadline(tables []tt.TT, r, garbageBudget int, conflictLimit int64, deadline time.Time) (*rqfp.Netlist, sat.Status, error) {
-	e := newEncoding(tables, r, encodeOptions{garbageBudget: garbageBudget}, conflictLimit)
-	st, err := solveWithDeadline(e.b.S, conflictLimit, deadline)
+func solveFixed(ctx context.Context, tables []tt.TT, r, garbageBudget int, conflictLimit int64) (*rqfp.Netlist, sat.Status, error) {
+	e := newEncoding(tables, r, encodeOptions{garbageBudget: garbageBudget})
+	st, err := solve(ctx, e.b.S, conflictLimit)
 	if err != nil {
 		return nil, sat.Unknown, err
 	}

@@ -136,6 +136,42 @@ func TestTimeBudget(t *testing.T) {
 	}
 }
 
+// TestTimeBudgetStopsMidProof pins the budget to the solver's own deadline
+// polling: a budget that expires inside a proof of several seconds must
+// stop that proof, not wait for it to end.
+func TestTimeBudgetStopsMidProof(t *testing.T) {
+	const budget = 100 * time.Millisecond
+	run := func(c bench.Circuit, maxGates int, limit time.Duration) (*Result, error) {
+		start := time.Now()
+		res, err := Synthesize(c.Tables, Options{MaxGates: maxGates, TimeBudget: limit})
+		if elapsed := time.Since(start); elapsed > limit+time.Second {
+			t.Fatalf("%s: returned after %v on a %v budget", c.Name, elapsed, limit)
+		}
+		return res, err
+	}
+
+	// decoder_3_8: the budget ends inside a gate-count proof.
+	if _, err := run(bench.Decoder(3), 8, budget); err != ErrTimeout {
+		t.Fatalf("decoder_3_8: err = %v, want ErrTimeout", err)
+	}
+
+	// decoder_2_4: the budget ends inside the garbage-minimality proof,
+	// 100 ms after the gate count is settled; the 3-gate circuit already
+	// found is returned.
+	c := bench.Decoder(2)
+	start := time.Now()
+	if _, err := Synthesize(c.Tables, Options{MaxGates: 3, SkipGarbageMinimization: true}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(c, 3, time.Since(start)+budget)
+	switch {
+	case err == nil:
+		verify(t, c.Tables, res)
+	case err != ErrTimeout: // ErrTimeout: the gate count took longer this time
+		t.Fatal(err)
+	}
+}
+
 func TestUnsatWithinBound(t *testing.T) {
 	c := bench.Decoder(2)
 	_, err := Synthesize(c.Tables, Options{MaxGates: 1})

@@ -84,10 +84,6 @@ func (r *ring) remove(node string) {
 	r.hashes = kept
 }
 
-func (r *ring) len() int { return len(r.nodes) }
-
-func (r *ring) has(node string) bool { return r.nodes[node] }
-
 // owner returns the node a key belongs to ("" on an empty ring).
 func (r *ring) owner(key string) string {
 	return r.ownerAvoiding(key, nil)

@@ -81,3 +81,42 @@ func TestTemplateFlowDeterministicUnderWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestTemplatePassNeverCostsJJ runs every suite circuit but hwb8 twice on
+// the same seed, plain CGP and CGP followed by the template pass, with one
+// learning starter library shared across the suite the way a server shares
+// it across jobs. A splice only ever replaces a window by a smaller one, but
+// it can lengthen paths and so add buffers; the template leg must never end
+// with more JJs than the plain one.
+func TestTemplatePassNeverCostsJJ(t *testing.T) {
+	lib, err := template.Starter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(c bench.Circuit, lib *template.Library) *Result {
+		res, err := RunTables(c.Tables, Options{
+			CGP:       core.Options{Generations: 300, Lambda: 8, MutationRate: 0.1, Seed: 1, Workers: 1},
+			Templates: lib,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		return res
+	}
+	improved, base, withTemplates := 0, 0, 0
+	for _, c := range bench.All() {
+		if c.Name == "hwb8" {
+			continue
+		}
+		b, tm := run(c, nil).FinalStats.JJs, run(c, lib).FinalStats.JJs
+		if tm > b {
+			t.Errorf("%s: %d JJs with templates, %d without", c.Name, tm, b)
+		}
+		if tm < b {
+			improved++
+		}
+		base += b
+		withTemplates += tm
+	}
+	t.Logf("templates improved %d circuits: %d → %d JJs; library %d classes", improved, base, withTemplates, lib.Len())
+}

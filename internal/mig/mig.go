@@ -85,9 +85,6 @@ func New(n int) *MIG {
 // NumPIs returns the primary input count.
 func (m *MIG) NumPIs() int { return m.nPI }
 
-// NumPOs returns the primary output count.
-func (m *MIG) NumPOs() int { return len(m.pos) }
-
 // NumNodes returns the total node count including constant and PIs.
 func (m *MIG) NumNodes() int { return len(m.fanins) }
 
@@ -102,17 +99,11 @@ func (m *MIG) PI(i int) Lit {
 	return MkLit(i+1, false)
 }
 
-// IsPI reports whether node is a primary input.
-func (m *MIG) IsPI(node int) bool { return node >= 1 && node <= m.nPI }
-
 // IsMaj reports whether node is a majority gate.
 func (m *MIG) IsMaj(node int) bool { return node > m.nPI }
 
 // Fanins returns the three fanin edges of a MAJ node.
 func (m *MIG) Fanins(node int) [3]Lit { return m.fanins[node] }
-
-// PO returns output edge i.
-func (m *MIG) PO(i int) Lit { return m.pos[i] }
 
 // POs returns the output edges (not a copy).
 func (m *MIG) POs() []Lit { return m.pos }

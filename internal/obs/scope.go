@@ -103,13 +103,6 @@ func (gs GaugeSet) Set(n int64) {
 	}
 }
 
-// Add adjusts every underlying gauge by n.
-func (gs GaugeSet) Add(n int64) {
-	for _, g := range gs {
-		g.Add(n)
-	}
-}
-
 // Gauge returns the named gauge in every registry of the scope.
 func (s *Scope) Gauge(name string) GaugeSet {
 	if s.Empty() {

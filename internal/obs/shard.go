@@ -43,9 +43,6 @@ func (s *HistShard) Observe(d time.Duration) {
 	s.buckets[b]++
 }
 
-// Count returns the number of observations accumulated since the last reset.
-func (s *HistShard) Count() int64 { return s.count }
-
 // Reset clears the shard without draining it.
 func (s *HistShard) Reset() { *s = HistShard{} }
 

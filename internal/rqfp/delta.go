@@ -30,9 +30,6 @@ func NewDeltaSim(base *SimContext) *DeltaSim {
 	return &DeltaSim{base: base}
 }
 
-// Base returns the wrapped parent context.
-func (d *DeltaSim) Base() *SimContext { return d.base }
-
 // Dirty reports whether signal s was recomputed — with a value different
 // from the base — by the last RunDelta.
 func (d *DeltaSim) Dirty(s Signal) bool {

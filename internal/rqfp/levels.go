@@ -1,17 +1,12 @@
 package rqfp
 
-// Levels assigns a clock level to every active gate so that path balancing
-// costs (buffer insertions) are low. Primary inputs sit at level 0; a gate
-// must sit strictly above all of its non-constant sources; the constant
-// source is available at any level for free. Starting from ASAP levels,
-// gates are greedily pulled upwards while that reduces the total phase gap
-// (the classic slack-redistribution heuristic for AQFP buffer insertion).
-// The returned slice has -1 for inactive gates.
-func (n *Netlist) Levels() []int {
-	active := n.ActiveGates()
-	return n.levelsFor(active)
-}
-
+// levelsFor assigns a clock level to every active gate so that path
+// balancing costs (buffer insertions) are low. Primary inputs sit at level
+// 0; a gate must sit strictly above all of its non-constant sources; the
+// constant source is available at any level for free. Starting from ASAP
+// levels, gates are greedily pulled upwards while that reduces the total
+// phase gap (the classic slack-redistribution heuristic for AQFP buffer
+// insertion). The returned slice has -1 for inactive gates.
 func (n *Netlist) levelsFor(active []bool) []int {
 	level := make([]int, len(n.Gates))
 	for g := range level {

@@ -170,9 +170,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return s.numVars }
-
 // NumClauses returns the number of live problem clauses plus learnt clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) - len(s.free) }
 
