@@ -246,10 +246,10 @@ func verifyExhaustive(net *rqfp.Netlist, tables []tt.TT) error {
 	if net.NumPI != n {
 		return fmt.Errorf("input count %d != %d", net.NumPI, n)
 	}
-	for x := uint(0); x < 1<<uint(n); x++ {
-		got := net.EvalBool(x)
-		for k, f := range tables {
-			if got[k] != f.Get(x) {
+	got := net.TruthTables()
+	for k, f := range tables {
+		for x := uint(0); x < 1<<uint(n); x++ {
+			if got[k].Get(x) != f.Get(x) {
 				return fmt.Errorf("mismatch at assignment %d output %d", x, k)
 			}
 		}

@@ -39,25 +39,10 @@ func buf1Netlist() *rqfp.Netlist {
 	return n
 }
 
-// tablesOf reads a netlist's full truth tables back by simulation.
-func tablesOf(net *rqfp.Netlist) []tt.TT {
-	tables := make([]tt.TT, len(net.POs))
-	for k := range tables {
-		tables[k] = tt.New(net.NumPI)
-	}
-	for x := uint(0); x < 1<<uint(net.NumPI); x++ {
-		out := net.EvalBool(x)
-		for k := range tables {
-			tables[k].Set(x, out[k])
-		}
-	}
-	return tables
-}
-
 func TestCacheStoreLookupRoundTrip(t *testing.T) {
 	c := NewMemory(0)
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 
 	if _, _, ok := c.Lookup(tables); ok {
 		t.Fatal("hit on an empty cache")
@@ -88,13 +73,13 @@ func TestCacheStoreLookupRoundTrip(t *testing.T) {
 func TestCacheLookupNPNVariant(t *testing.T) {
 	c := NewMemory(0)
 	net := maj3Netlist()
-	if _, err := c.Store(tablesOf(net), net); err != nil {
+	if _, err := c.Store(net.TruthTables(), net); err != nil {
 		t.Fatal(err)
 	}
 
 	// MAJ with inputs permuted (c, a, b), input b complemented, output
 	// complemented — same NPN class, different function.
-	base := tablesOf(net)[0]
+	base := net.TruthTables()[0]
 	variant := tt.FromFunc(3, func(x uint) bool {
 		a, b, cc := x>>1&1, (x>>2&1)^1, x&1
 		return !base.Get(a | b<<1 | cc<<2)
@@ -119,7 +104,7 @@ func TestCacheLookupNPNVariant(t *testing.T) {
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	net := and2Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 
 	c, err := Open(dir, 0)
 	if err != nil {
@@ -157,7 +142,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 func TestCacheTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 
 	c, err := Open(dir, 0)
 	if err != nil {
@@ -199,7 +184,7 @@ func TestCacheTornTailTruncated(t *testing.T) {
 
 	// New appends after the recovery land cleanly.
 	net2 := and2Netlist()
-	if _, err := c2.Store(tablesOf(net2), net2); err != nil {
+	if _, err := c2.Store(net2.TruthTables(), net2); err != nil {
 		t.Fatal(err)
 	}
 	if s := c2.Stats(); s.DiskEntries != 2 {
@@ -210,7 +195,7 @@ func TestCacheTornTailTruncated(t *testing.T) {
 func TestCacheCorruptLineKeepsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 
 	c, _ := Open(dir, 0)
 	if _, err := c.Store(tables, net); err != nil {
@@ -240,17 +225,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewMemory(2)
 	nets := []*rqfp.Netlist{maj3Netlist(), and2Netlist(), buf1Netlist()}
 	for _, n := range nets {
-		if _, err := c.Store(tablesOf(n), n); err != nil {
+		if _, err := c.Store(n.TruthTables(), n); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Capacity 2, three inserts: the oldest (maj3) is evicted; with no disk
 	// tier behind the LRU it is gone for good.
-	if _, _, ok := c.Lookup(tablesOf(nets[0])); ok {
+	if _, _, ok := c.Lookup(nets[0].TruthTables()); ok {
 		t.Fatal("evicted entry still served")
 	}
 	for _, n := range nets[1:] {
-		if _, _, ok := c.Lookup(tablesOf(n)); !ok {
+		if _, _, ok := c.Lookup(n.TruthTables()); !ok {
 			t.Fatalf("recent entry evicted (NumPI=%d)", n.NumPI)
 		}
 	}
@@ -265,7 +250,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheOneSlotPerClass(t *testing.T) {
 	c := NewMemory(0)
 	net := and2Netlist()
-	if _, err := c.Store(tablesOf(net), net); err != nil {
+	if _, err := c.Store(net.TruthTables(), net); err != nil {
 		t.Fatal(err)
 	}
 	// b AND NOT a — same class as AND.
@@ -275,7 +260,7 @@ func TestCacheOneSlotPerClass(t *testing.T) {
 		Cfg: rqfp.Config(0).InvertInputAll(2).InvertInputAll(0),
 	})
 	other.POs = []rqfp.Signal{other.Port(g, 0)}
-	if _, err := c.Store(tablesOf(other), other); err != nil {
+	if _, err := c.Store(other.TruthTables(), other); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.MemEntries != 1 || s.Stores != 2 {
@@ -302,7 +287,7 @@ func TestCacheLastWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := Open(dir, 0)
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Store(tables, net); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
-	"github.com/reversible-eda/rcgp/internal/tt"
 )
 
 // This file is the replication side of the cache: the hooks a fleet runner
@@ -58,7 +57,7 @@ func (c *Cache) Merge(e Entry) error {
 		c.bump(func(s *Stats) { s.MergeRejects++ })
 		return ErrUncacheable
 	}
-	tables := simulateTables(net)
+	tables := net.TruthTables()
 	key, err := c.store(tables, net, false)
 	if err != nil {
 		c.bump(func(s *Stats) { s.MergeRejects++ })
@@ -109,23 +108,4 @@ func sortEntries(es []Entry) {
 			es[k], es[k-1] = es[k-1], es[k]
 		}
 	}
-}
-
-// simulateTables recovers the truth tables a netlist computes by exhaustive
-// simulation (callers gate the input count to MaxInputs ≤ 14, so this is at
-// most 16384 evaluations).
-func simulateTables(net *rqfp.Netlist) []tt.TT {
-	tables := make([]tt.TT, len(net.POs))
-	for k := range tables {
-		tables[k] = tt.New(net.NumPI)
-	}
-	for x := uint(0); x < 1<<uint(net.NumPI); x++ {
-		got := net.EvalBool(x)
-		for k := range tables {
-			if got[k] {
-				tables[k].Set(x, true)
-			}
-		}
-	}
-	return tables
 }

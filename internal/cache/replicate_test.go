@@ -16,7 +16,7 @@ func TestReplicateStoreMergeRoundTrip(t *testing.T) {
 	a.SetReplicator(func(e Entry) { published = append(published, e) })
 
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 	key, err := a.Store(tables, net)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestReplicateStoreMergeRoundTrip(t *testing.T) {
 func TestMergeDoesNotRepublishOrOverwrite(t *testing.T) {
 	a := NewMemory(0)
 	net := maj3Netlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 	if _, err := a.Store(tables, net); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMergeDoesNotRepublishOrOverwrite(t *testing.T) {
 func TestMergeRejectsCorruptEntries(t *testing.T) {
 	a := NewMemory(0)
 	net := maj3Netlist()
-	if _, err := a.Store(tablesOf(net), net); err != nil {
+	if _, err := a.Store(net.TruthTables(), net); err != nil {
 		t.Fatal(err)
 	}
 	good := a.Dump()[0]
@@ -116,10 +116,10 @@ func TestDumpCoversDiskAndMemory(t *testing.T) {
 	defer c.Close()
 	maj := maj3Netlist()
 	and := and2Netlist()
-	if _, err := c.Store(tablesOf(maj), maj); err != nil {
+	if _, err := c.Store(maj.TruthTables(), maj); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Store(tablesOf(and), and); err != nil { // evicts maj from memory
+	if _, err := c.Store(and.TruthTables(), and); err != nil { // evicts maj from memory
 		t.Fatal(err)
 	}
 	dump := c.Dump()

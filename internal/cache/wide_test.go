@@ -25,7 +25,7 @@ func wideNetlist() *rqfp.Netlist {
 // a wrong netlist for the same tables is refuted and never stored.
 func TestCacheWideKeyVerify(t *testing.T) {
 	net := wideNetlist()
-	tables := tablesOf(net)
+	tables := net.TruthTables()
 	c := NewMemory(8)
 	key, err := c.Store(tables, net)
 	if err != nil {

@@ -6,6 +6,12 @@
 // with counterexamples fed back into the stimulus (the combination of
 // simulation and formal verification of Vasicek's CGP work that the paper
 // adopts).
+//
+// The search confirms most candidates without the spec miter: an offspring
+// of a proved parent is proved against that parent, which it differs from
+// only in its mutated cone (Incremental). The spec miter (Prove) supplies
+// refutation counterexamples and runs every other proof: the initial
+// parent, the post-pass check (Spec.VerifyEquivalent) and the cache's.
 package cec
 
 import (
@@ -166,13 +172,13 @@ type Verdict struct {
 	Aborted bool
 }
 
+// specIDs hands out the process-unique stimulus identities.
+var specIDs atomic.Uint64
+
 // NewSpecFromAIG builds the oracle from a specification AIG. For small
 // input counts the stimulus is exhaustive; otherwise `randomWords`×64
 // random patterns seeded deterministically from seed are used and SAT
 // confirms candidates.
-// specIDs hands out the process-unique stimulus identities.
-var specIDs atomic.Uint64
-
 func NewSpecFromAIG(a *aig.AIG, randomWords int, seed int64) *Spec {
 	s := &Spec{NumPI: a.NumPIs(), NumPO: a.NumPOs(), id: specIDs.Add(1), gen: 1}
 	s.genLive.Store(1)
@@ -331,6 +337,14 @@ func (s *Spec) finishCheck(ctx context.Context, n *rqfp.Netlist, wrong, totalBit
 func (s *Spec) satCheck(ctx context.Context, n *rqfp.Netlist, st *Stats) (bool, []bool, bool) {
 	start := time.Now()
 	eq, cex, solver, err := Prove(ctx, s.specAIG, n)
+	return eq, cex, s.recordSAT(ctx, start, eq, solver, err, st)
+}
+
+// recordSAT accounts one SAT verdict begun at start, given its outcome
+// (eq, err) and the counters of the solves behind it: one
+// cec.verdict_latency sample, the verdict and solver counters in st, and
+// one cec.sat trace event. It reports whether ctx aborted the verdict.
+func (s *Spec) recordSAT(ctx context.Context, start time.Time, eq bool, solver sat.Stats, err error, st *Stats) bool {
 	elapsed := time.Since(start)
 	if !s.scope.Empty() {
 		s.scope.Histogram("cec.verdict_latency").Observe(elapsed)
@@ -361,7 +375,7 @@ func (s *Spec) satCheck(ctx context.Context, n *rqfp.Netlist, st *Stats) (bool, 
 			"decisions": solver.Decisions,
 		})
 	}
-	return eq, cex, aborted
+	return aborted
 }
 
 // AddCounterexample widens the stimulus by one word whose bit 0 carries the

@@ -17,6 +17,15 @@ import (
 // approximate (per-output lower-bounded) Match for refuted candidates but
 // never changes a proved/refuted verdict.
 //
+// When the parent is proved equal to the spec and the spec is not
+// exhaustive, an offspring that passes the screen is proved against the
+// parent instead of the spec: a fresh miter that shares every gate outside
+// the mutated cone and hashes majorities structurally, usually settled
+// without a solver call. Only a refutation goes on to the spec miter
+// (Prove), for the counterexample the spec path would return, so the
+// verdicts, counterexamples and SAT verdict counts equal CheckContext's;
+// the solver counters and SATTime count the solves actually run.
+//
 // The oracle is read through a View, so the whole delta path — simulation,
 // mismatch counting, statistics — runs without touching the Spec's locks.
 // One Incremental is owned by one goroutine, like the SimContext inside
@@ -36,7 +45,15 @@ type Incremental struct {
 	parentWrong []int
 	parentTotal int
 
-	poDirty []bool // per-PO scratch for CheckDelta
+	// parent is the resident parent netlist and parentActive its active
+	// mask; parentProved records that it is proved equal to the spec,
+	// which lets CheckDelta prove offspring against it.
+	parent       *rqfp.Netlist
+	parentActive []bool
+	parentProved bool
+
+	poDirty []bool      // per-PO scratch for CheckDelta
+	miter   parentMiter // per-check scratch of the parent-relative proof
 }
 
 // NewIncrementalView wraps an existing View — the sharing hook for an
@@ -56,8 +73,12 @@ func (inc *Incremental) Stale() bool {
 // SetParent makes parent the resident base: a full simulation of ALL gates
 // (active and inactive, so any rewiring in an offspring finds valid source
 // vectors) plus the per-output wrong-bit counts against the golden
-// responses. The view is re-synced first when stale.
-func (inc *Incremental) SetParent(parent *rqfp.Netlist) {
+// responses. active is the parent's active mask (nil recomputes it).
+// proved must be true only if the parent was proved equal to the spec —
+// matching the random samples proves nothing. The view is re-synced first
+// when stale. parent and active must stay unchanged until the next
+// SetParent.
+func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bool) {
 	v := inc.view
 	if !v.Fresh() {
 		v.Sync()
@@ -69,6 +90,10 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist) {
 	}
 	inc.base.RunTagged(parent, v.stimulus, nil, v.id, v.gen)
 	inc.gen = v.gen
+	if active == nil {
+		active = parent.ActiveGates()
+	}
+	inc.parent, inc.parentActive, inc.parentProved = parent, active, proved
 	if cap(inc.parentWrong) < s.NumPO {
 		inc.parentWrong = make([]int, s.NumPO)
 		inc.poDirty = make([]bool, s.NumPO)
@@ -95,6 +120,9 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist) {
 // and the full wrong-bit count is only taken on outputs that differ. The
 // proved/refuted verdict and every Match value of non-refuted candidates
 // are unaffected.
+//
+// A candidate that passes the screen is proved against a proved parent,
+// otherwise against the spec, with the same verdict either way.
 //
 // ok is false when the resident parent is stale (or absent) — the caller
 // falls back to the full path and re-syncs. coneGates is the number of
@@ -140,6 +168,9 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 			// candidates, which a valid parent never adopts.
 			break
 		}
+	}
+	if wrong == 0 && !s.Exhaustive && inc.parentProved {
+		return inc.proveAgainstParent(ctx, n, dirtyGates, active), coneGates, true
 	}
 	return s.finishCheck(ctx, n, wrong, totalBits, &view.stats), coneGates, true
 }

@@ -184,7 +184,8 @@ func (e *SpecEvaluator) SyncParent(epoch uint64, parent *rqfp.Netlist, fit Fitne
 	e.parentEpoch = epoch
 	e.costs.Eval(parent)
 	e.parentActive = append(e.parentActive[:0], e.costs.Active()...)
-	e.inc.SetParent(parent)
+	// A valid fitness means the parent was proved equal to the spec.
+	e.inc.SetParent(parent, e.parentActive, fit.Valid)
 }
 
 // sameAsParent decides phenotype identity with the resident parent in

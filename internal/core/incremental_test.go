@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/reversible-eda/rcgp/internal/cec"
@@ -194,42 +195,73 @@ func TestIncrementalNonExhaustive(t *testing.T) {
 
 // FuzzIncrementalEval is the evaluator-level differential fuzz: random
 // mutation chains, every offspring scored by both EvaluateDelta (exact
-// mode) and the full reference Evaluate, fitnesses compared bit-for-bit.
+// mode) and the full reference Evaluate, each on its own identically built
+// spec, with fitnesses and counterexamples compared bit-for-bit. wide
+// selects the 16-input spec of buildComparatorCase, where offspring that
+// survive simulation are proved against their parent on the delta side and
+// against the spec on the reference side; the wide seeds must reach both
+// a proof and a refutation there.
 func FuzzIncrementalEval(f *testing.F) {
+	var wide cec.Stats
 	for _, seed := range []int64{1, 7, 42, 1337} {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true)
+		wide.Add(checkIncrementalEval(f, seed, true))
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		tables := decoderTables()
-		if seed%2 != 0 {
-			tables = fullAdderTables()
-		}
-		spec, n := buildCase(tables)
-		ev := NewSpecEvaluator(spec)
-		ev.Exact = true // fast-refute off: Match must be exact even on refuted offspring
-		ref := NewSpecEvaluator(spec)
-		ctx := context.Background()
-
-		r := rand.New(rand.NewSource(seed))
-		parent := newGenotype(n.Clone())
-		parentFit := ref.Evaluate(ctx, parent.net).Fitness
-		child := newGenotype(n.Clone())
-		epoch := uint64(1)
-		for step := 0; step < 150; step++ {
-			ev.SyncParent(epoch, parent.net, parentFit)
-			child.copyFrom(parent)
-			child.mutate(r, 0.25)
-			got := ev.EvaluateDelta(ctx, child.net, Delta{Gates: child.dirtyGates, POs: child.dirtyPOs})
-			want := ref.Evaluate(ctx, child.net)
-			if got.Fitness != want.Fitness {
-				t.Fatalf("step %d: incremental fitness %+v != full %+v (dedup=%v incr=%v cone=%d)",
-					step, got.Fitness, want.Fitness, got.Dedup, got.Incremental, got.ConeGates)
-			}
-			if got.Fitness.BetterOrEqual(parentFit) {
-				parent, child = child, parent
-				parentFit = got.Fitness
-				epoch++
-			}
-		}
+	if wide.SATProved == 0 || wide.SATRefuted == 0 {
+		f.Fatalf("wide seeds reached %d SAT proofs and %d refutations on the delta side, want both", wide.SATProved, wide.SATRefuted)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, wide bool) {
+		checkIncrementalEval(t, seed, wide)
 	})
+}
+
+// checkIncrementalEval runs one FuzzIncrementalEval chain and returns the
+// delta side's oracle counters.
+func checkIncrementalEval(tb testing.TB, seed int64, wide bool) cec.Stats {
+	build, rate := func() (*cec.Spec, *rqfp.Netlist) { return buildCase(decoderTables()) }, 0.25
+	switch {
+	case wide:
+		// At most two point mutations: some offspring survive the screen.
+		build, rate = buildComparatorCase, 0.01
+	case seed%2 != 0:
+		build = func() (*cec.Spec, *rqfp.Netlist) { return buildCase(fullAdderTables()) }
+	}
+	spec, n := build()
+	refSpec, _ := build()
+	ev := NewSpecEvaluator(spec)
+	ev.Exact = true // fast-refute off: Match must be exact even on refuted offspring
+	ref := NewSpecEvaluator(refSpec)
+	ctx := context.Background()
+
+	r := rand.New(rand.NewSource(seed))
+	parent := newGenotype(n.Clone())
+	parentFit := ref.Evaluate(ctx, parent.net).Fitness
+	child := newGenotype(n.Clone())
+	epoch := uint64(1)
+	for step := 0; step < 150; step++ {
+		ev.SyncParent(epoch, parent.net, parentFit)
+		child.copyFrom(parent)
+		child.mutate(r, rate)
+		got := ev.EvaluateDelta(ctx, child.net, Delta{Gates: child.dirtyGates, POs: child.dirtyPOs})
+		want := ref.Evaluate(ctx, child.net)
+		if got.Fitness != want.Fitness {
+			tb.Fatalf("step %d: incremental fitness %+v != full %+v (dedup=%v incr=%v cone=%d)",
+				step, got.Fitness, want.Fitness, got.Dedup, got.Incremental, got.ConeGates)
+		}
+		if !slices.Equal(got.Counterexample, want.Counterexample) {
+			tb.Fatalf("step %d: incremental counterexample %v != full %v", step, got.Counterexample, want.Counterexample)
+		}
+		if got.Counterexample != nil {
+			ev.Learn(got.Counterexample)
+			ref.Learn(want.Counterexample)
+		}
+		if got.Fitness.BetterOrEqual(parentFit) {
+			parent, child = child, parent
+			parentFit = got.Fitness
+			epoch++
+		}
+	}
+	ev.FlushStats()
+	return spec.Stats()
 }

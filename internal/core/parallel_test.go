@@ -137,6 +137,28 @@ func buildWideCase() (*cec.Spec, *rqfp.Netlist) {
 	return cec.NewSpecFromAIG(a, 4, 7), n
 }
 
+// buildComparatorCase builds, like buildWideCase, a 16-input spec and its
+// initial netlist: a > b and a == b over two 8-bit operands. Both outputs
+// hinge on long conjunctions that random patterns rarely satisfy, so some
+// offspring that pass the screen are refuted only by SAT.
+func buildComparatorCase() (*cec.Spec, *rqfp.Netlist) {
+	a := aig.New(16)
+	gt, eq := aig.Const0, aig.Const1
+	for k := 0; k < 8; k++ { // least significant bit first
+		x, y := a.PI(k), a.PI(8+k)
+		same := a.Xor(x, y).Not()
+		gt = a.Or(a.And(x, y.Not()), a.And(same, gt))
+		eq = a.And(same, eq)
+	}
+	a.AddPO(gt)
+	a.AddPO(eq)
+	n, err := rqfp.FromMIG(mig.FromAIG(a))
+	if err != nil {
+		panic(err)
+	}
+	return cec.NewSpecFromAIG(a, 4, 7), n
+}
+
 func optimizeWide(t *testing.T, workers int) *Result {
 	t.Helper()
 	spec, n := buildWideCase()

@@ -126,10 +126,22 @@ func (n *Netlist) TruthTables() []tt.TT {
 	return res
 }
 
+// evalStackPorts is the port count up to which EvalBool keeps its port
+// values on the stack.
+const evalStackPorts = 1024
+
 // EvalBool evaluates the netlist on a single concrete input assignment
 // (bit i of `assignment` = primary input i). Reference semantics for tests.
+// Up to evalStackPorts ports it allocates only its result, so callers that
+// sweep many assignments produce no other garbage.
 func (n *Netlist) EvalBool(assignment uint) []bool {
-	vals := make([]bool, n.NumPorts())
+	var stack [evalStackPorts]bool
+	var vals []bool
+	if ports := n.NumPorts(); ports <= len(stack) {
+		vals = stack[:ports]
+	} else {
+		vals = make([]bool, ports)
+	}
 	vals[ConstPort] = true
 	for i := 0; i < n.NumPI; i++ {
 		vals[n.PIPort(i)] = assignment>>uint(i)&1 == 1

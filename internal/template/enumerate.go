@@ -118,7 +118,7 @@ func Build(opt BuildOptions) (*Library, BuildReport, error) {
 							}
 							sub := window.Extract(net, ext)
 							rep.Cuts++
-							offer(simulateTables(sub), sub)
+							offer(sub.TruthTables(), sub)
 						}
 					}
 					return true
@@ -236,7 +236,7 @@ func sweepSingleGate(n int, offer func([]tt.TT, *rqfp.Netlist)) {
 						for _, m := range pos {
 							net.POs = append(net.POs, ports[m])
 						}
-						offer(simulateTables(net), net)
+						offer(net.TruthTables(), net)
 					}
 				}
 			}

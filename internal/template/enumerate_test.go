@@ -125,7 +125,7 @@ func TestBuildCoversBruteForceIdentities(t *testing.T) {
 						continue
 					}
 					sub := window.Extract(net, ext)
-					if _, _, ok := lib.Match(simulateTables(sub)); !ok {
+					if _, _, ok := lib.Match(sub.TruthTables()); !ok {
 						uncovered++
 					}
 				}

@@ -160,7 +160,7 @@ func (l *Library) Merge(e Entry) error {
 		return fmt.Errorf("template: merge: shape mismatch: %d/%d inputs, %d/%d outputs",
 			net.NumPI, e.NumPI, len(net.POs), e.NumPO)
 	}
-	tables := simulateTables(net)
+	tables := net.TruthTables()
 	// Check the advertised key before storing anything: a canonicalization
 	// skew across the fleet must surface as an error, not silently fork the
 	// key space — and a mismatched entry must not be adopted.
@@ -228,7 +228,7 @@ func (l *Library) add(tables []tt.TT, net *rqfp.Netlist, learn bool) (Entry, boo
 		return Entry{}, false, fmt.Errorf("template: canonical netlist invalid: %w", err)
 	}
 	want := tr.Apply(tables)
-	if !tablesEqual(simulateTables(canon), want) {
+	if !tablesEqual(canon.TruthTables(), want) {
 		return Entry{}, false, errors.New("template: netlist does not implement its advertised function")
 	}
 	var sb strings.Builder
@@ -290,7 +290,7 @@ func (l *Library) Match(tables []tt.TT) (*rqfp.Netlist, Entry, bool) {
 	// Trust but verify: the entry was simulation-checked when stored, but
 	// a stale transform or corrupt record must surface as a miss here, not
 	// as a failed splice downstream.
-	if net.Validate() != nil || !tablesEqual(simulateTables(net), tables) {
+	if net.Validate() != nil || !tablesEqual(net.TruthTables(), tables) {
 		l.bump(func(s *Stats) { s.Rejects++ })
 		return nil, Entry{}, false
 	}
@@ -389,24 +389,6 @@ func (l *Library) LoadFile(path string) (adopted, rejected int, err error) {
 	}
 	defer f.Close()
 	return l.Load(f)
-}
-
-// simulateTables recovers the truth tables a netlist computes by exhaustive
-// simulation (inputs are bounded by MaxInputs, so at most 256 evaluations).
-func simulateTables(net *rqfp.Netlist) []tt.TT {
-	tables := make([]tt.TT, len(net.POs))
-	for k := range tables {
-		tables[k] = tt.New(net.NumPI)
-	}
-	for x := uint(0); x < 1<<uint(net.NumPI); x++ {
-		got := net.EvalBool(x)
-		for k := range tables {
-			if got[k] {
-				tables[k].Set(x, true)
-			}
-		}
-	}
-	return tables
 }
 
 func tablesEqual(a, b []tt.TT) bool {

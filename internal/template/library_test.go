@@ -58,13 +58,13 @@ func passthroughPair(t *testing.T) (tables []tt.TT, one, two *rqfp.Netlist) {
 	one = rqfp.NewNetlist(3)
 	one.AddGate(rqfp.Gate{In: [3]rqfp.Signal{one.PIPort(0), one.PIPort(1), one.PIPort(2)}})
 	one.POs = []rqfp.Signal{one.Port(0, 0)}
-	tables = simulateTables(one)
+	tables = one.TruthTables()
 	for cfg := 0; cfg < rqfp.NumConfigs; cfg++ {
 		n := rqfp.NewNetlist(3)
 		n.AddGate(rqfp.Gate{In: [3]rqfp.Signal{n.PIPort(0), n.PIPort(1), n.PIPort(2)}})
 		n.AddGate(rqfp.Gate{In: [3]rqfp.Signal{n.Port(0, 0), rqfp.ConstPort, rqfp.ConstPort}, Cfg: rqfp.Config(cfg)})
 		n.POs = []rqfp.Signal{n.Port(1, 0)}
-		if n.Validate() == nil && tablesEqual(simulateTables(n), tables) {
+		if n.Validate() == nil && tablesEqual(n.TruthTables(), tables) {
 			return tables, one, n
 		}
 	}
@@ -81,7 +81,7 @@ func TestLearnMatchRoundtrip(t *testing.T) {
 		if len(net.POs) == 0 {
 			continue
 		}
-		tables := simulateTables(net)
+		tables := net.TruthTables()
 		if _, adopted, err := lib.Learn(tables, net); err != nil {
 			t.Fatalf("trial %d: learn: %v", trial, err)
 		} else if adopted {
@@ -91,7 +91,7 @@ func TestLearnMatchRoundtrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: no match immediately after learn", trial)
 		}
-		if !tablesEqual(simulateTables(got), tables) {
+		if !tablesEqual(got.TruthTables(), tables) {
 			t.Fatalf("trial %d: matched netlist computes a different function", trial)
 		}
 		if err := got.Validate(); err != nil {
@@ -147,7 +147,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		if len(net.POs) == 0 {
 			continue
 		}
-		lib.Learn(simulateTables(net), net)
+		lib.Learn(net.TruthTables(), net)
 	}
 	if lib.Len() == 0 {
 		t.Fatal("empty library")
@@ -310,11 +310,11 @@ func TestStarterLibraryLoadsVerified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("entry %s: %v", e.Key, err)
 		}
-		got, _, ok := lib.Match(simulateTables(net))
+		got, _, ok := lib.Match(net.TruthTables())
 		if !ok {
 			t.Fatalf("entry %s: no self-match", e.Key)
 		}
-		if !tablesEqual(simulateTables(got), simulateTables(net)) {
+		if !tablesEqual(got.TruthTables(), net.TruthTables()) {
 			t.Fatalf("entry %s: self-match computes a different function", e.Key)
 		}
 	}

@@ -101,7 +101,7 @@ func Rewrite(net *rqfp.Netlist, lib *Library, opt RewriteOptions) (*rqfp.Netlist
 					continue
 				}
 				sub := window.Extract(cur, ext)
-				tables := simulateTables(sub)
+				tables := sub.TruthTables()
 				rep.Windows++
 				if opt.Learn && w <= opt.LearnMaxGates {
 					if _, adopted, err := lib.Learn(tables, sub); err == nil && adopted {

@@ -2,6 +2,7 @@ package rcgp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -210,5 +211,58 @@ func TestWriteVerilogFacade(t *testing.T) {
 	ok, err := d.Verify(base.Circuit())
 	if err != nil || !ok {
 		t.Fatalf("Verilog export not equivalent: %v %v", ok, err)
+	}
+}
+
+// TestCircuitEvaluateAllocatesOnlyResult pins Circuit.Evaluate to one
+// allocation per call — its result — on a 24-input adder. Callers sweep
+// tens of thousands of assignments per circuit, so any per-call scratch
+// would be garbage in proportion.
+func TestCircuitEvaluateAllocatesOnlyResult(t *testing.T) {
+	const n = 12
+	var sb strings.Builder
+	var ins, outs []string
+	for k := 0; k < n; k++ {
+		ins = append(ins, fmt.Sprintf("a%d", k), fmt.Sprintf("b%d", k))
+	}
+	for k := 0; k <= n; k++ {
+		outs = append(outs, fmt.Sprintf("s%d", k))
+	}
+	fmt.Fprintf(&sb, "module add%d(%s, %s);\ninput %s;\noutput %s;\n", n,
+		strings.Join(ins, ", "), strings.Join(outs, ", "), strings.Join(ins, ", "), strings.Join(outs, ", "))
+	carry := "1'b0"
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&sb, "wire p%d, c%d;\nassign p%d = a%d ^ b%d;\n", k, k+1, k, k, k)
+		fmt.Fprintf(&sb, "assign s%d = p%d ^ %s;\n", k, k, carry)
+		fmt.Fprintf(&sb, "assign c%d = (a%d & b%d) | (p%d & %s);\n", k+1, k, k, k, carry)
+		carry = fmt.Sprintf("c%d", k+1)
+	}
+	fmt.Fprintf(&sb, "assign s%d = %s;\nendmodule\n", n, carry)
+	d, err := FromVerilog(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Synthesize(Options{Generations: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Circuit()
+	// Inputs alternate a0, b0, a1, b1, …; 0xABC + 0x5F3 = 0x10AF.
+	a, b := uint(0xABC), uint(0x5F3)
+	var x uint
+	for k := 0; k < n; k++ {
+		x |= (a>>uint(k)&1)<<uint(2*k) | (b>>uint(k)&1)<<uint(2*k+1)
+	}
+	var sum uint
+	for k, v := range c.Evaluate(x) {
+		if v {
+			sum |= 1 << uint(k)
+		}
+	}
+	if sum != a+b {
+		t.Fatalf("adder evaluates %#x + %#x = %#x", a, b, sum)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Evaluate(x) }); allocs != 1 {
+		t.Fatalf("Circuit.Evaluate made %v allocations per call, want 1", allocs)
 	}
 }

@@ -39,7 +39,11 @@ type SATStats struct {
 // CECStats describe the equivalence oracle's activity: how often the
 // bit-parallel simulation screen refuted a candidate outright (the cheap,
 // common case), how often a proof came from exhaustive simulation vs. an
-// UNSAT miter, and the accumulated SAT solver work.
+// UNSAT miter, and the accumulated SAT solver work. An offspring of a
+// proved parent is proved against that parent; SATProved counts it even
+// when structural hashing settled it without a solver call, and a
+// refutation's SATTime and Solver include both its solves (against the
+// parent, then against the specification for the counterexample).
 type CECStats struct {
 	Checks           int64
 	SimRefuted       int64
