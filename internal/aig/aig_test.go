@@ -172,6 +172,39 @@ func TestRewritePreservesFunction(t *testing.T) {
 	}
 }
 
+// The cover memo is keyed by the cut function expanded to 4 inputs. For
+// every 2-, 3- and 4-input function it must hold the cover an ISOP at the
+// cut's own size picks: the ISOP of f or of ¬f, whichever has fewer
+// literals (f on a tie), with the same cubes in the same order.
+func TestCoverMemoMatchesISOPAtCutSize(t *testing.T) {
+	covers := coverMemo{}
+	for k := 2; k <= cutK; k++ {
+		rows := 1 << k
+		for fn := 1; fn < 1<<rows-1; fn++ { // constants need no cover
+			f := tt.New(k)
+			f.Bits[0] = uint64(fn)
+			want, wantNeg := tt.ISOP(f), false
+			if neg := tt.ISOP(f.Not()); neg.NumLits() < want.NumLits() {
+				want, wantNeg = neg, true
+			}
+			var table uint16
+			for row := 0; row < 16; row++ {
+				table |= uint16(fn>>(row%rows)&1) << row
+			}
+			got := covers.get(table)
+			if got.neg != wantNeg || got.n != len(want) {
+				t.Fatalf("k=%d f=%#x: memo has %d cubes (neg %v), ISOP %d (neg %v)",
+					k, fn, got.n, got.neg, len(want), wantNeg)
+			}
+			for i, c := range want {
+				if got.cubes[i] != c {
+					t.Fatalf("k=%d f=%#x: cube %d is %v, want %v", k, fn, i, got.cubes[i], c)
+				}
+			}
+		}
+	}
+}
+
 func TestSweepMergesDuplicates(t *testing.T) {
 	a := New(2)
 	x, y := a.PI(0), a.PI(1)

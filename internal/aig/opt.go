@@ -16,6 +16,7 @@ const (
 // result never regresses in AND count. Function is preserved exactly.
 func (a *AIG) Optimize(effort Effort) *AIG {
 	best := a.Cleanup()
+	covers := coverMemo{} // shared by every Rewrite of this call
 	keepSmaller := func(cand *AIG) {
 		if cand.NumAnds() < best.NumAnds() ||
 			(cand.NumAnds() == best.NumAnds() && cand.Depth() < best.Depth()) {
@@ -24,12 +25,12 @@ func (a *AIG) Optimize(effort Effort) *AIG {
 	}
 	round := func() {
 		keepSmaller(best.Balance())
-		keepSmaller(best.Rewrite())
+		keepSmaller(best.rewrite(covers))
 		if effort >= EffortStd {
 			keepSmaller(best.Sweep())
 			keepSmaller(best.RefactorGlobal())
 			keepSmaller(best.Balance())
-			keepSmaller(best.Rewrite())
+			keepSmaller(best.rewrite(covers))
 		}
 	}
 	round()

@@ -16,11 +16,11 @@ type DeltaSim struct {
 	// Overlay vectors share one flat arena (port p owns
 	// arena[p*words:(p+1)*words]), mirroring the SimContext layout: the
 	// whole overlay is a single allocation and dirty-cone sweeps touch
-	// adjacent memory for adjacent ports.
+	// adjacent memory for adjacent ports. A port's overlay vector is valid
+	// where mark[p] == epoch.
 	arena    []uint64
-	overlay  []bits.Vec // per port; valid where mark[s] == epoch
-	mark     []uint32   // per port: dirty in the current epoch
-	gateMark []uint32   // per gate: seed-dirty in the current epoch
+	mark     []uint32 // per port: dirty in the current epoch
+	gateMark []uint32 // per gate: seed-dirty in the current epoch
 	epoch    uint32
 }
 
@@ -40,7 +40,8 @@ func (d *DeltaSim) Dirty(s Signal) bool {
 // value where the delta diverged from the parent, the base value elsewhere.
 func (d *DeltaSim) Port(s Signal) bits.Vec {
 	if d.Dirty(s) {
-		return d.overlay[s]
+		w := d.base.words
+		return bits.Vec(d.arena[int(s)*w : int(s+1)*w : int(s+1)*w])
 	}
 	return d.base.Port(s)
 }
@@ -62,16 +63,10 @@ func (d *DeltaSim) bump() {
 }
 
 func (d *DeltaSim) grow(numPorts, numGates int) {
-	if len(d.overlay) < numPorts {
-		words := d.base.Words()
-		arena := make([]uint64, numPorts*words)
+	if len(d.mark) < numPorts {
+		arena := make([]uint64, numPorts*d.base.words)
 		copy(arena, d.arena)
-		overlay := make([]bits.Vec, numPorts)
-		for i := range overlay {
-			overlay[i] = bits.Vec(arena[i*words : (i+1)*words : (i+1)*words])
-		}
 		d.arena = arena
-		d.overlay = overlay
 		for len(d.mark) < numPorts {
 			d.mark = append(d.mark, 0)
 		}
@@ -91,44 +86,92 @@ func (d *DeltaSim) grow(numPorts, numGates int) {
 // a PO, so their stale values are never read. Returns the number of gates
 // re-simulated — the cone size.
 //
+// Each re-simulated gate runs one fused pass over the stimulus words: it
+// loads each input word once, from the overlay or the base arena by the
+// input's mark, stores the three majorities into the gate's three adjacent
+// overlay vectors, and ORs each output's XOR against the base into a diff
+// word. SimContext.RunTagged, the full path, computes the same vectors
+// with bits.MajInv and serves as the reference the tests compare against.
+//
 // The candidate must share the parent's shape (same NumPI and gate count),
 // which the CGP point mutations guarantee.
 func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, active []bool) int {
 	d.grow(n.NumPorts(), len(n.Gates))
 	d.bump()
+	epoch := d.epoch
 	for _, g := range seedGates {
-		d.gateMark[g] = d.epoch
+		d.gateMark[g] = epoch
 	}
+	w := d.base.words
+	over, par := d.arena, d.base.arena
 	cone := 0
 	for g := range n.Gates {
 		if active != nil && !active[g] {
 			continue
 		}
 		gate := &n.Gates[g]
-		if d.gateMark[g] != d.epoch &&
-			d.mark[gate.In[0]] != d.epoch &&
-			d.mark[gate.In[1]] != d.epoch &&
-			d.mark[gate.In[2]] != d.epoch {
+		in0, in1, in2 := int(gate.In[0]), int(gate.In[1]), int(gate.In[2])
+		dirty0, dirty1, dirty2 := d.mark[in0] == epoch, d.mark[in1] == epoch, d.mark[in2] == epoch
+		if d.gateMark[g] != epoch && !dirty0 && !dirty1 && !dirty2 {
 			continue
 		}
 		cone++
-		v0 := d.Port(gate.In[0])
-		v1 := d.Port(gate.In[1])
-		v2 := d.Port(gate.In[2])
-		base := n.GateBase(g)
-		for m := 0; m < 3; m++ {
-			s := base + Signal(m)
-			out := d.overlay[s]
-			x0, x1, x2 := gate.Cfg.InvMasks(m)
-			bits.MajInv(out, v0, v1, v2, x0, x1, x2)
-			if out.Eq(d.base.Port(s)) {
-				d.mark[s] = 0 // value unchanged: downstream stays clean
-			} else {
-				d.mark[s] = d.epoch
-			}
+		// Every vector is re-sliced to len(o0), so the word loop below
+		// runs without bounds checks.
+		s := int(n.GateBase(g))
+		o0 := over[s*w : (s+1)*w]
+		o1 := over[(s+1)*w : (s+2)*w][:len(o0)]
+		o2 := over[(s+2)*w : (s+3)*w][:len(o0)]
+		b0 := par[s*w : (s+1)*w][:len(o0)]
+		b1 := par[(s+1)*w : (s+2)*w][:len(o0)]
+		b2 := par[(s+2)*w : (s+3)*w][:len(o0)]
+		v0, v1, v2 := par, par, par
+		if dirty0 {
+			v0 = over
 		}
+		if dirty1 {
+			v1 = over
+		}
+		if dirty2 {
+			v2 = over
+		}
+		v0 = v0[in0*w : (in0+1)*w][:len(o0)]
+		v1 = v1[in1*w : (in1+1)*w][:len(o0)]
+		v2 = v2[in2*w : (in2+1)*w][:len(o0)]
+		// Configuration bit 8-3j-m inverts input j of majority m (see
+		// Config.Inv); decode each into an all-ones or all-zero XOR mask.
+		c := uint64(gate.Cfg)
+		x00, x01, x02 := -(c >> 8 & 1), -(c >> 5 & 1), -(c >> 2 & 1)
+		x10, x11, x12 := -(c >> 7 & 1), -(c >> 4 & 1), -(c >> 1 & 1)
+		x20, x21, x22 := -(c >> 6 & 1), -(c >> 3 & 1), -(c & 1)
+		var diff0, diff1, diff2 uint64
+		for i := range o0 {
+			p, q, r := v0[i], v1[i], v2[i]
+			x, y, z := p^x00, q^x01, r^x02
+			m0 := x&y | x&z | y&z
+			x, y, z = p^x10, q^x11, r^x12
+			m1 := x&y | x&z | y&z
+			x, y, z = p^x20, q^x21, r^x22
+			m2 := x&y | x&z | y&z
+			o0[i], o1[i], o2[i] = m0, m1, m2
+			diff0 |= m0 ^ b0[i]
+			diff1 |= m1 ^ b1[i]
+			diff2 |= m2 ^ b2[i]
+		}
+		// A port whose vector equals the base stays clean, so the gates
+		// downstream of it are not re-simulated.
+		d.mark[s], d.mark[s+1], d.mark[s+2] = dirtyMark(diff0, epoch), dirtyMark(diff1, epoch), dirtyMark(diff2, epoch)
 	}
 	return cone
+}
+
+// dirtyMark is the mark of an output port whose recomputed vector differs
+// from the base in the bits of diff: the epoch if any bit differs, else 0.
+func dirtyMark(diff uint64, epoch uint32) uint32 {
+	if diff != 0 {
+		return epoch
+	}
+	return 0
 }
 
 // PhenotypeEqual reports whether two equally-shaped netlists have the

@@ -44,10 +44,17 @@ func TestJobRelocationBitIdentical(t *testing.T) {
 	}
 
 	// First leg: run the same request on an instance that hands us every
-	// checkpoint, and cancel it once a mid-run snapshot exists.
+	// checkpoint, and cancel it once a mid-run snapshot exists. The first
+	// checkpoint holds the job until the test has cancelled it, so the
+	// short search cannot finish first. Holding cannot deadlock: the server
+	// calls OnCheckpoint without its lock, and Cancel only flags the job
+	// and calls its cancel func.
 	var mu sync.Mutex
 	var lastCP *client.Checkpoint
-	cpTaken := make(chan struct{}, 16)
+	cpTaken := make(chan struct{})
+	canceled := make(chan struct{})
+	release := sync.OnceFunc(func() { close(canceled) })
+	defer release()
 	first := New(Config{
 		DefaultGenerations: 1200,
 		CheckpointEvery:    200,
@@ -55,11 +62,12 @@ func TestJobRelocationBitIdentical(t *testing.T) {
 		OnCheckpoint: func(id string, r client.Request, cp client.Checkpoint) {
 			mu.Lock()
 			c := cp
+			isFirst := lastCP == nil
 			lastCP = &c
 			mu.Unlock()
-			select {
-			case cpTaken <- struct{}{}:
-			default:
+			if isFirst {
+				close(cpTaken)
+				<-canceled
 			}
 		},
 	})
@@ -78,7 +86,10 @@ func TestJobRelocationBitIdentical(t *testing.T) {
 	// Simulate the node dying mid-job: tear the instance down without
 	// letting the job finish cleanly.
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	first.Cancel(firstJob.ID)
+	if err := first.Cancel(firstJob.ID); err != nil {
+		t.Fatalf("cancel the first leg: %v", err)
+	}
+	release()
 	first.Close(cctx)
 	cancel()
 	mu.Lock()
