@@ -38,7 +38,6 @@ type Request struct {
 	Lambda       int     `json:"lambda,omitempty"`
 	MutationRate float64 `json:"mutation_rate,omitempty"`
 	Seed         int64   `json:"seed,omitempty"`
-	Script       string  `json:"script,omitempty"`
 
 	// Priority orders the queue: higher runs first, ties FIFO.
 	Priority int `json:"priority,omitempty"`

@@ -10,6 +10,7 @@
 //	rcgp -bench decoder_2_4 -gens 50000
 //	rcgp -in adder.v -o adder.rqfp
 //	rcgp -in circuit.blif -format blif -time 30s -seed 7
+//	rcgp -bench mux4 -optimizer anneal -seed 2
 //	rcgp -bench hwb7 -metrics -trace run.jsonl -debug-addr localhost:6060
 package main
 
@@ -50,12 +51,11 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 1, "goroutines evaluating offspring concurrently (0 = NumCPU); deterministic per seed")
 		islands   = flag.Int("islands", 1, "independent (1+λ) populations with periodic ring migration")
+		optimizer = flag.String("optimizer", "cgp", "search engine: cgp (paper), anneal, hybrid")
 		budget    = flag.Duration("time", 0, "wall-clock budget for the evolution (0 = none)")
 		templates = flag.String("templates", "", "template library for search-free rewriting: 'starter' (shipped), a JSONL path, or empty for none")
 		initOnly  = flag.Bool("init-only", false, "stop after initialization (baseline)")
 		windows   = flag.Int("window-rounds", 0, "rounds of windowed resynthesis after the evolution")
-		script    = flag.String("script", "", "explicit pass script replacing the default pipeline, e.g. 'aig.resyn2;convert;cgp(gens=500);resub;buffer'")
-		passList  = flag.Bool("list-passes", false, "list the registered pipeline passes (with options) and exit")
 		chrom     = flag.Bool("chromosome", false, "print the CGP chromosome string")
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		tracePath = flag.String("trace", "", "write a JSONL trace of the run to this file")
@@ -79,11 +79,6 @@ func run() error {
 		}
 		return nil
 	}
-	if *passList {
-		printPasses(os.Stdout)
-		return nil
-	}
-
 	design, name, err := loadDesign(*inPath, *format, *benchName)
 	if err != nil {
 		return err
@@ -116,7 +111,7 @@ func run() error {
 		TimeBudget:         *budget,
 		InitializationOnly: *initOnly,
 		WindowRounds:       *windows,
-		Script:             *script,
+		Optimizer:          *optimizer,
 	}
 	if *templates != "" {
 		lib, err := openTemplates(*templates)
@@ -243,23 +238,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// printPasses renders the -list-passes catalog: every registered pipeline
-// pass with its telemetry stage name and option table.
-func printPasses(w io.Writer) {
-	for _, p := range rcgp.Passes() {
-		mark := " "
-		if p.Mutates {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "%s %-12s %-16s %s\n", mark, p.Name, p.Stage, p.Summary)
-		for _, o := range p.Options {
-			fmt.Fprintf(w, "      %-11s %-14s default %-12s %s\n", o.Name+"=", o.Kind, o.Default, o.Help)
-		}
-	}
-	fmt.Fprintln(w, "\npasses marked * mutate the RQFP netlist and are equivalence-checked after running")
-	fmt.Fprintln(w, "script syntax: pass[;pass(...)]* e.g. 'aig.resyn2;mig.resyn;convert;cgp(gens=500,workers=8);resub;buffer'")
 }
 
 // openTemplates resolves the -templates flag: the shipped starter library

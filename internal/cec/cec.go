@@ -255,10 +255,10 @@ func (s *Spec) Check(n *rqfp.Netlist, sim *rqfp.SimContext, active []bool) Verdi
 }
 
 // VerifyEquivalent proves the netlist functionally equivalent to the
-// specification and returns a descriptive error on mismatch. It is the
-// pass manager's single post-pass verification hook: the proof always runs
-// to completion (no context), so a pipeline that is winding down after
-// cancellation still hands back a verified — never a torn — result.
+// specification and returns a descriptive error on mismatch. The flow
+// runs it after every stage that changed the netlist: the proof always
+// runs to completion (no context), so a pipeline that is winding down
+// after cancellation still hands back a verified — never a torn — result.
 func (s *Spec) VerifyEquivalent(n *rqfp.Netlist) error {
 	if v := s.Check(n, nil, nil); !v.Proved {
 		return fmt.Errorf("lost equivalence (match=%.6f)", v.Match)

@@ -157,9 +157,9 @@ type Result struct {
 
 // Merge folds an earlier search phase's report into r: evaluation and
 // improvement counters and the telemetry are accumulated, and the better
-// of the two best individuals is kept. It is the reduction used when
-// chained search passes hand a netlist on — the hybrid optimizer's
-// CGP→annealing handoff, or any scripted cgp;anneal sequence.
+// of the two best individuals is kept. It is the reduction used when one
+// search phase hands its netlist on to the next — the hybrid optimizer's
+// CGP→annealing handoff.
 func (r *Result) Merge(prev *Result) {
 	if prev == nil {
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +216,34 @@ func TestFleetShardingAndReplication(t *testing.T) {
 	}
 	if len(rs) != 2 || !rs[0].Healthy || !rs[1].Healthy {
 		t.Fatalf("runners %+v", rs)
+	}
+}
+
+// The coordinator answers 400 to the bodies a runner refuses: its own
+// decoder rejects an unknown field, shardKey an input count outside 0..20,
+// and the runner's λ bound is passed through. No job is created anywhere.
+func TestCoordinatorRejectsBadBodies(t *testing.T) {
+	f := newFleet(t, 1, serve.Config{})
+	for _, body := range []string{
+		`{"benchmark":"ham3","script":"convert;buffer"}`,
+		`{"num_inputs":21,"truth_tables":["96"]}`,
+		`{"benchmark":"ham3","lambda":1025}`,
+	} {
+		resp, err := http.Post(f.hs.URL+"/synthesize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if jobs := f.co.Jobs(context.Background()); len(jobs) != 0 {
+		t.Fatalf("coordinator lists jobs: %+v", jobs)
+	}
+	if jobs := f.runners[0].srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("runner queued jobs: %+v", jobs)
 	}
 }
 

@@ -63,7 +63,10 @@ func (co *Coordinator) observe(next http.Handler) http.Handler {
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req client.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
+	// Unknown fields are refused, as on a runner's own POST /synthesize.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

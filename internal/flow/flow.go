@@ -4,25 +4,24 @@
 // insertion → CGP-based optimization → RQFP buffer insertion, with the
 // heuristic initialization baseline reported alongside.
 //
-// Since the pass-manager refactor the pipeline itself lives in
-// internal/pass: every stage is a registered pass over a shared pipeline
-// State, and Run/RunContext merely render Options into the default pass
-// script (or parse Options.Script) and hand it to the pass.Manager, which
-// owns timing, tracing, cancellation, skip bookkeeping, and the
-// equivalence verification after every netlist-mutating pass.
+// The pipeline is one fixed sequence of named stages built from Options.
+// A single loop runs them and owns every cross-cutting rule once: a
+// telemetry span and StageTimes entry per executed stage, skip records
+// with a reason, cancellation between stages, and equivalence
+// verification against the untouched specification after every stage that
+// changed the RQFP netlist.
 package flow
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
 	"github.com/reversible-eda/rcgp/internal/cec"
 	"github.com/reversible-eda/rcgp/internal/core"
+	"github.com/reversible-eda/rcgp/internal/mig"
 	"github.com/reversible-eda/rcgp/internal/obs"
-	"github.com/reversible-eda/rcgp/internal/pass"
 	"github.com/reversible-eda/rcgp/internal/resub"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 	"github.com/reversible-eda/rcgp/internal/template"
@@ -32,21 +31,17 @@ import (
 
 // Options configures one pipeline run.
 type Options struct {
-	// SynthEffort is the classical AIG optimization effort.
-	SynthEffort aig.Effort
 	// CGP configures the evolutionary optimization; CGP.Generations = 0
 	// picks the core default.
 	CGP core.Options
 	// SkipCGP stops after initialization (the paper's first baseline).
 	SkipCGP bool
-	// RandomWords sizes the random stimulus for wide circuits.
-	RandomWords int
 	// WindowRounds, when positive, runs windowed CGP resynthesis after
 	// the global evolution — the scalability technique for circuits too
 	// large to evolve whole.
 	WindowRounds int
 	// Resub, when set, finishes with deterministic simulation-driven
-	// resubstitution. The pass needs an exhaustive oracle (circuits ≤ 14
+	// resubstitution. The stage needs an exhaustive oracle (circuits ≤ 14
 	// inputs); on wider circuits it is recorded as skipped with a reason
 	// in Result.Skipped.
 	Resub bool
@@ -56,24 +51,13 @@ type Options struct {
 	// annealing seeded with the CGP result).
 	Optimizer string
 	// Templates, when non-nil, enables the search-free identity-template
-	// rewriting pass: the default script runs it after the search stage,
-	// and scripts may invoke it explicitly as "template". Runtime-learned
-	// windows are fed back into the library unless the pass's learn=false
-	// option says otherwise.
+	// rewriting stage after the search. Scanned small windows are learned
+	// back into the library.
 	Templates *template.Library
-	// Script, when non-empty, replaces the default pipeline with an
-	// explicit pass script, e.g. "aig.resyn2;convert;cgp(gens=500);buffer"
-	// (see internal/pass). SkipCGP, WindowRounds, Resub, and Optimizer are
-	// ignored when Script is set; CGP still supplies the baseline search
-	// options that script passes may override.
-	Script string
 	// Trace, when non-nil, receives the run's JSONL telemetry: pipeline
 	// span begin/end events, CGP generation checkpoints and improvement
 	// events, and CEC SAT verdicts.
 	Trace *obs.Tracer
-	// Obs, when non-nil, is the metric registry the run records into;
-	// nil allocates a fresh per-run registry (snapshot on Result.Obs).
-	Obs *obs.Registry
 }
 
 // Result carries everything the evaluation tables need.
@@ -94,18 +78,18 @@ type Result struct {
 	Final      *rqfp.Netlist
 	FinalStats rqfp.Stats
 
-	// CGP is the accumulated search report (nil when no search pass ran).
+	// CGP is the search report (nil when the search stage did not run).
 	CGP *core.Result
 	// Window is the windowed-resynthesis report (nil unless requested).
 	Window *window.Report
-	// Resub is the resubstitution report (nil unless the pass ran).
+	// Resub is the resubstitution report (nil unless the stage ran).
 	Resub *resub.Stats
-	// Template is the template-rewrite report (nil unless the pass ran).
+	// Template is the template-rewrite report (nil unless the stage ran).
 	Template *template.Report
 
-	// StageTimes is the wall-clock breakdown per executed pipeline pass,
-	// in execution order. Skipped records scheduled passes that did not
-	// run — the resubstitution pass on a too-wide circuit, or passes
+	// StageTimes is the wall-clock breakdown per executed pipeline stage,
+	// in execution order. Skipped records scheduled stages that did not
+	// run — the resubstitution stage on a too-wide circuit, or stages
 	// behind a cancellation — each with the reason in StageTime.Skipped.
 	StageTimes []obs.StageTime
 	Skipped    []obs.StageTime
@@ -125,135 +109,34 @@ func Run(spec *aig.AIG, opt Options) (*Result, error) {
 	return RunContext(context.Background(), spec, opt)
 }
 
-// DefaultScript renders Options into the invocation list of the paper's
-// Fig. 2 pipeline: aig.resyn2 → mig.resyn → convert → one search pass
-// (unless SkipCGP) → window (when WindowRounds > 0) → resub (when Resub)
-// → buffer. It is the exact pipeline the pre-pass-manager monolith
-// hardcoded, so the default flow stays bit-identical per seed.
-func DefaultScript(opt Options) ([]pass.Invocation, error) {
-	invs := []pass.Invocation{
-		{Name: "aig.resyn2"},
-		{Name: "mig.resyn"},
-		{Name: "convert"},
-	}
-	if !opt.SkipCGP {
-		engine := opt.Optimizer
-		if engine == "" {
-			engine = "cgp"
-		}
-		switch engine {
-		case "cgp", "anneal", "hybrid":
-		default:
-			return nil, fmt.Errorf("unknown optimizer %q (cgp|anneal|hybrid)", opt.Optimizer)
-		}
-		invs = append(invs, pass.Invocation{Name: engine})
-	}
-	if opt.WindowRounds > 0 {
-		invs = append(invs, pass.Invocation{
-			Name: "window",
-			Args: pass.Args{"rounds": strconv.Itoa(opt.WindowRounds)},
-		})
-	}
-	if opt.Resub {
-		invs = append(invs, pass.Invocation{Name: "resub"})
-	}
-	if opt.Templates != nil {
-		invs = append(invs, pass.Invocation{Name: "template"})
-	}
-	invs = append(invs, pass.Invocation{Name: "buffer"})
-	return invs, nil
-}
-
-// scriptInvocations resolves the run's pipeline: an explicit Script wins,
-// otherwise the default script rendered from the remaining Options.
-func scriptInvocations(opt Options) ([]pass.Invocation, error) {
-	if opt.Script != "" {
-		return pass.ParseScript(opt.Script)
-	}
-	return DefaultScript(opt)
-}
-
 // RunContext is Run under an external cancellation context, threaded
-// through every pass down to the SAT solver: cancelling ctx lets the
-// current pass wind down (the search passes return their validated
-// best-so-far), records the remaining passes as skipped, and returns the
+// through every stage down to the SAT solver: cancelling ctx lets the
+// current stage wind down (the search stages return their validated
+// best-so-far), records the remaining stages as skipped, and returns the
 // verified result; cancelling before the netlist exists returns the
 // context error.
 func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error) {
 	start := time.Now()
-
-	reg := opt.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	if opt.Trace != nil {
-		reg.AttachTracer(opt.Trace)
-	}
-
-	invs, err := scriptInvocations(opt)
+	p := newPipeline(ctx, opt)
+	stages, err := p.stages(spec, opt)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
 	}
-	mgr, err := pass.NewManager(invs)
-	if err != nil {
+	if err := p.run(ctx, stages); err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
 	}
-
-	// The write scope spans the run registry plus whatever the context
-	// carries — the service layer threads a per-job + process-global scope
-	// through ctx, so one instrumented code path feeds /jobs/{id},
-	// /metrics, and Result.Obs at once.
-	scope := obs.ScopeFrom(ctx).With(reg)
-
-	cgpOpt := opt.CGP
-	cgpOpt.Metrics = scope
-	if cgpOpt.Trace == nil {
-		cgpOpt.Trace = opt.Trace
-	}
-	st := &pass.State{
-		Spec:        spec,
-		SynthEffort: opt.SynthEffort,
-		CGP:         cgpOpt,
-		RandomWords: opt.RandomWords,
-		Templates:   opt.Templates,
-		Reg:         reg,
-		Scope:       scope,
-		Tracer:      opt.Trace,
-	}
-	if err := mgr.Run(ctx, st); err != nil {
-		return nil, fmt.Errorf("flow: %w", err)
-	}
-	if st.Net == nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("flow: canceled before initialization: %w", cerr)
-		}
-		return nil, fmt.Errorf("flow: pipeline built no netlist (missing a convert pass?)")
-	}
-
-	res := &Result{
-		Spec:         st.Oracle,
-		AIGAnds:      st.AIGAnds,
-		MIGMajs:      st.MIGMajs,
-		Initial:      st.Initial,
-		InitialStats: st.InitialStats,
-		Final:        st.Net,
-		CGP:          st.Search,
-		Window:       st.Window,
-		Resub:        st.Resub,
-		Template:     st.Template,
-		StageTimes:   st.StageTimes,
-		Skipped:      st.Skipped,
+	res := &p.res
+	if res.Final == nil {
+		return nil, fmt.Errorf("flow: canceled before initialization: %w", ctx.Err())
 	}
 	if res.Final == res.Initial {
 		res.FinalStats = res.InitialStats
 	} else {
 		res.FinalStats = res.Final.ComputeStats()
 	}
-	if st.Oracle != nil {
-		res.CEC = st.Oracle.Stats()
-	}
-	recordRunMetrics(scope, res)
-	res.Obs = reg.Snapshot()
+	res.CEC = res.Spec.Stats()
+	recordRunMetrics(p.scope, res)
+	res.Obs = p.reg.Snapshot()
 	res.Runtime = time.Since(start)
 	if opt.Trace != nil {
 		opt.Trace.Emit("flow.done", map[string]any{
@@ -263,6 +146,265 @@ func RunContext(ctx context.Context, spec *aig.AIG, opt Options) (*Result, error
 		})
 	}
 	return res, nil
+}
+
+// stage is one pipeline step: its telemetry name, a skip reason fixed when
+// the pipeline is built (a non-empty reason records the stage as skipped
+// without opening a span), and the work itself.
+type stage struct {
+	name string
+	skip string
+	run  func(ctx context.Context) error
+}
+
+// pipeline is one run's state. Its result doubles as the stage state:
+// res.Final is the current netlist and res.Spec the oracle every
+// netlist-changing stage is verified against.
+type pipeline struct {
+	reg    *obs.Registry
+	scope  *obs.Scope
+	tracer *obs.Tracer
+	cgp    core.Options
+	res    Result
+}
+
+// newPipeline sets up the run's telemetry. The write scope spans the run
+// registry plus whatever the context carries — the service layer threads a
+// per-job + process-global scope through ctx, so one instrumented code
+// path feeds /jobs/{id}, /metrics, and Result.Obs at once.
+func newPipeline(ctx context.Context, opt Options) *pipeline {
+	reg := obs.NewRegistry()
+	if opt.Trace != nil {
+		reg.AttachTracer(opt.Trace)
+	}
+	p := &pipeline{reg: reg, scope: obs.ScopeFrom(ctx).With(reg), tracer: opt.Trace, cgp: opt.CGP}
+	p.cgp.Metrics = p.scope
+	if p.cgp.Trace == nil {
+		p.cgp.Trace = opt.Trace
+	}
+	return p
+}
+
+// stages builds the Fig. 2 sequence for opt: aig_opt → mig_resyn →
+// convert → cgp (unless SkipCGP) → window (WindowRounds > 0) → resub
+// (Resub) → template (Templates != nil) → buffer.
+func (p *pipeline) stages(spec *aig.AIG, opt Options) ([]stage, error) {
+	var (
+		opted *aig.AIG
+		maj   *mig.MIG
+	)
+	r := &p.res
+	stages := []stage{
+		{name: "flow.aig_opt", run: func(context.Context) error {
+			opted = spec.Optimize(aig.EffortStd)
+			r.AIGAnds = opted.NumAnds()
+			return nil
+		}},
+		{name: "flow.mig_resyn", run: func(context.Context) error {
+			maj = mig.ResynthesizeAIG(opted)
+			r.MIGMajs = maj.NumMajs()
+			return nil
+		}},
+		{name: "flow.convert", run: func(context.Context) error {
+			initial, err := rqfp.FromMIG(maj)
+			if err != nil {
+				return err
+			}
+			r.Initial, r.Final = initial, initial
+			r.InitialStats = initial.ComputeStats()
+			r.Spec = cec.NewSpecFromAIG(spec, cec.DefaultRandomWords, p.cgp.Seed+1)
+			r.Spec.AttachScope(p.scope)
+			r.Spec.AttachTracer(p.tracer)
+			// The loop's post-stage proof is the initialization check.
+			return nil
+		}},
+	}
+	if !opt.SkipCGP {
+		switch opt.Optimizer {
+		case "", "cgp", "anneal", "hybrid":
+		default:
+			return nil, fmt.Errorf("unknown optimizer %q (cgp|anneal|hybrid)", opt.Optimizer)
+		}
+		stages = append(stages, stage{name: "flow.cgp", run: func(ctx context.Context) error {
+			return p.search(ctx, opt.Optimizer)
+		}})
+	}
+	if opt.WindowRounds > 0 {
+		stages = append(stages, stage{name: "flow.window", run: func(ctx context.Context) error {
+			wopt := window.Options{Rounds: opt.WindowRounds, Seed: p.cgp.Seed, Workers: p.cgp.Workers}
+			windowed, rep, err := window.OptimizeContext(ctx, r.Final, wopt)
+			if err != nil {
+				return err
+			}
+			r.Window, r.Final = &rep, windowed
+			return nil
+		}})
+	}
+	if opt.Resub {
+		var skip string
+		if n := spec.NumPIs(); n > cec.ExhaustiveMaxPIs {
+			skip = fmt.Sprintf("needs an exhaustive oracle: %d inputs exceed the %d-input limit",
+				n, cec.ExhaustiveMaxPIs)
+		}
+		stages = append(stages, stage{name: "flow.resub", skip: skip, run: func(context.Context) error {
+			cleaned, stats, err := resub.Optimize(r.Final)
+			if err != nil {
+				return err
+			}
+			r.Resub, r.Final = &stats, cleaned
+			return nil
+		}})
+	}
+	if opt.Templates != nil {
+		stages = append(stages, stage{name: "flow.template", run: func(context.Context) error {
+			return p.rewrite(opt.Templates)
+		}})
+	}
+	stages = append(stages, stage{name: "flow.buffer", run: func(context.Context) error {
+		if err := r.Final.InsertBuffers().Validate(); err != nil {
+			return fmt.Errorf("buffer insertion failed: %w", err)
+		}
+		return nil
+	}})
+	return stages, nil
+}
+
+// search is the flow.cgp stage. Anneal runs gens·λ steps; hybrid spends
+// half the generations (and half of any time budget) on CGP, then anneals
+// its best for gens·λ/2 steps.
+func (p *pipeline) search(ctx context.Context, engine string) error {
+	o := p.cgp
+	lambda := o.Lambda
+	if lambda <= 0 {
+		lambda = 4
+	}
+	gens := o.Generations
+	if gens <= 0 {
+		gens = 20000
+	}
+	anneal := core.AnnealOptions{
+		Steps:        gens * lambda,
+		MutationRate: o.MutationRate,
+		Seed:         o.Seed,
+		TimeBudget:   o.TimeBudget,
+		Trace:        o.Trace,
+	}
+	r := &p.res
+	var (
+		res *core.Result
+		err error
+	)
+	switch engine {
+	case "anneal":
+		res, err = core.AnnealContext(ctx, r.Final, r.Spec, anneal)
+	case "hybrid":
+		half := o
+		half.Generations = gens / 2
+		anneal.Steps /= 2
+		if o.TimeBudget > 0 {
+			half.TimeBudget = o.TimeBudget / 2
+			anneal.TimeBudget = o.TimeBudget / 2
+		}
+		var first *core.Result
+		if first, err = core.OptimizeContext(ctx, r.Final, r.Spec, half); err != nil {
+			return err
+		}
+		if res, err = core.AnnealContext(ctx, first.Best, r.Spec, anneal); err == nil {
+			res.Merge(first)
+		}
+	default:
+		res, err = core.OptimizeContext(ctx, r.Final, r.Spec, o)
+	}
+	if err != nil {
+		return err
+	}
+	r.CGP, r.Final = res, res.Best
+	return nil
+}
+
+// rewrite is the flow.template stage: a library sweep with default window
+// bounds and learning on, every splice proved against the oracle.
+func (p *pipeline) rewrite(lib *template.Library) error {
+	r := &p.res
+	opt := template.RewriteOptions{
+		Learn:  true,
+		Verify: func(n *rqfp.Netlist) error { return r.Spec.VerifyEquivalent(n) },
+	}
+	rewritten, rep, err := template.Rewrite(r.Final, lib, opt)
+	if err != nil {
+		return err
+	}
+	r.Template, r.Final = &rep, rewritten
+	p.scope.Counter("template.windows").Add(int64(rep.Windows))
+	p.scope.Counter("template.hits").Add(int64(rep.Hits))
+	p.scope.Counter("template.misses").Add(int64(rep.Misses))
+	p.scope.Counter("template.rewrites").Add(int64(rep.Rewrites))
+	p.scope.Counter("template.gates_saved").Add(int64(rep.GatesSaved))
+	p.scope.Counter("template.learned").Add(int64(rep.Learned))
+	if p.tracer != nil {
+		p.tracer.Emit("template.done", map[string]any{
+			"windows": rep.Windows, "hits": rep.Hits, "rewrites": rep.Rewrites,
+			"gates_before": rep.GatesBefore, "gates_after": rep.GatesAfter,
+			"learned": rep.Learned,
+		})
+	}
+	return nil
+}
+
+// run executes the stages under the flow.synth span. Once ctx is cancelled
+// the current stage winds down (every stage threads ctx into its engine)
+// and the remaining stages are recorded as skipped — run still returns nil
+// so the caller can hand back the validated best-so-far netlist. A stage
+// error, or a failed post-stage equivalence proof, aborts the pipeline
+// with the stage's name wrapped into the error.
+func (p *pipeline) run(ctx context.Context, stages []stage) error {
+	root := p.scope.Span("flow.synth")
+	defer root.End()
+	r := &p.res
+	for i, s := range stages {
+		if ctx.Err() != nil {
+			for _, rest := range stages[i:] {
+				p.skip(rest.name, "canceled")
+			}
+			return nil
+		}
+		if s.skip != "" {
+			p.skip(s.name, s.skip)
+			continue
+		}
+		before := fingerprint(r.Final)
+		sp := root.Child(s.name)
+		err := s.run(ctx)
+		// Any stage that changed the netlist — pointer swap or in-place
+		// edit, the fingerprint catches both — must still implement the
+		// untouched specification.
+		if err == nil && r.Spec != nil && fingerprint(r.Final) != before {
+			err = r.Spec.VerifyEquivalent(r.Final)
+		}
+		r.StageTimes = append(r.StageTimes, obs.StageTime{Name: s.name, Duration: sp.End()})
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	return nil
+}
+
+// fingerprint hashes a netlist (0 when absent).
+func fingerprint(n *rqfp.Netlist) uint64 {
+	if n == nil {
+		return 0
+	}
+	return n.Fingerprint()
+}
+
+// skip books a scheduled stage that did not run: a Skipped entry with the
+// reason, a pass.skipped counter tick, and a pass.skip trace event.
+func (p *pipeline) skip(name, reason string) {
+	p.res.Skipped = append(p.res.Skipped, obs.StageTime{Name: name, Skipped: reason})
+	p.scope.Counter("pass.skipped").Inc()
+	if p.tracer != nil {
+		p.tracer.Emit("pass.skip", map[string]any{"name": name, "reason": reason})
+	}
 }
 
 // recordRunMetrics folds the run's counters into every registry of the

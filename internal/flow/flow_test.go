@@ -112,6 +112,9 @@ func TestWindowStage(t *testing.T) {
 	if res.Window == nil {
 		t.Fatal("window report missing")
 	}
+	if res.Window.Rounds != 10 {
+		t.Fatalf("window rounds = %d, want 10", res.Window.Rounds)
+	}
 	got := res.Final.TruthTables()
 	for i := range c.Tables {
 		if !got[i].Equal(c.Tables[i]) {

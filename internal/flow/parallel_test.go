@@ -17,7 +17,7 @@ import (
 // to Workers = 1. The annealer is inherently sequential (Workers only
 // affects the CGP phases), but it still runs through the shared Evaluator
 // path, so all three optimizers are covered. The hwb8 case runs a
-// 1,689-gate genome at a mutation rate low enough for the search to
+// 1,686-gate genome at a mutation rate low enough for the search to
 // improve it, so the worker counts are compared on a circuit that changes.
 func TestOptimizerWorkersDeterminism(t *testing.T) {
 	decoder := bench.Decoder(2).Tables

@@ -78,8 +78,8 @@ func (n *Netlist) Clone() *Netlist {
 }
 
 // Fingerprint returns a structural hash of the netlist (FNV-1a over the
-// interface size, the gate genes, and the PO signals). The pass manager
-// compares fingerprints around each pass to decide whether the netlist was
+// interface size, the gate genes, and the PO signals). The flow compares
+// fingerprints around each stage to decide whether the netlist was
 // mutated — including in-place edits that keep the pointer stable — and
 // therefore needs re-verification against the specification oracle.
 func (n *Netlist) Fingerprint() uint64 {

@@ -65,7 +65,11 @@ func (s *Server) observe(next http.Handler) http.Handler {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req client.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
+	// An unknown field is refused rather than ignored, so a request for an
+	// option this server lacks never silently runs with the default.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -150,6 +152,35 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if got := s.Health().Queued; got != 0 {
 		t.Fatalf("bad requests queued: %d", got)
+	}
+}
+
+// POST /synthesize answers 400 to an unknown field (naming it), to an
+// input count outside 0..20 and to λ outside 0..maxLambda, and queues
+// nothing.
+func TestServerRejectsBadBodies(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	for _, tc := range []struct{ body, want string }{
+		{`{"benchmark":"ham3","script":"convert;buffer"}`, `unknown field "script"`},
+		{`{"benchmark":"ham3","bogus_field":1}`, `unknown field "bogus_field"`},
+		{`{"num_inputs":21,"truth_tables":["96"]}`, "out of range"},
+		{`{"num_inputs":-1,"truth_tables":["96"]}`, "out of range"},
+		{`{"benchmark":"ham3","lambda":1025}`, "lambda 1025"},
+		{`{"benchmark":"ham3","lambda":-1}`, "lambda -1"},
+	} {
+		resp, err := http.Post(c.BaseURL+"/synthesize", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Errorf("%s: %v", tc.body, err)
+			continue
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.body, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("bad bodies created jobs: %+v", jobs)
 	}
 }
 

@@ -238,7 +238,15 @@ func (s *Server) SubmitHandoff(req client.Request, cp *client.Checkpoint) (clien
 	return j, err
 }
 
+// maxLambda bounds a request's offspring count. The search allocates λ
+// offspring slots, each holding a clone of the parent netlist, before its
+// first generation, so an unchecked λ lets one request ask for tens of GB.
+const maxLambda = 1024
+
 func (s *Server) submit(req client.Request, resume *rcgp.Checkpoint) (client.Job, error) {
+	if req.Lambda < 0 || req.Lambda > maxLambda {
+		return client.Job{}, fmt.Errorf("lambda %d out of range 0..%d", req.Lambda, maxLambda)
+	}
 	design, err := BuildDesign(req)
 	if err != nil {
 		return client.Job{}, err
@@ -500,7 +508,6 @@ func (s *Server) options(j *job, workers int) rcgp.Options {
 		Lambda:       req.Lambda,
 		MutationRate: req.MutationRate,
 		Seed:         req.Seed,
-		Script:       req.Script,
 		Workers:      workers,
 	}
 	if opt.Generations == 0 {

@@ -49,6 +49,9 @@ func FromFunc(n int, f func(assignment uint) bool) TT {
 // FromHex parses a truth table of n variables from a hexadecimal string
 // (most significant nibble first, as conventionally printed).
 func FromHex(n int, hex string) (TT, error) {
+	if n < 0 || n > MaxVars {
+		return TT{}, fmt.Errorf("tt: variable count %d out of range 0..%d", n, MaxVars)
+	}
 	t := New(n)
 	bitsNeeded := 1 << uint(n)
 	nibbles := (bitsNeeded + 3) / 4

@@ -61,6 +61,12 @@ func TestHexRoundTrip(t *testing.T) {
 	if _, err := FromHex(3, "e8e8"); err == nil {
 		t.Fatal("expected error for wrong length")
 	}
+	// An out-of-range variable count is an error, not a panic in New.
+	for _, n := range []int{-1, MaxVars + 1} {
+		if _, err := FromHex(n, "8"); err == nil {
+			t.Fatalf("FromHex(%d) accepted", n)
+		}
+	}
 }
 
 func TestCofactorsAgainstDefinition(t *testing.T) {

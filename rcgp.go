@@ -36,7 +36,6 @@ import (
 	"github.com/reversible-eda/rcgp/internal/exact"
 	"github.com/reversible-eda/rcgp/internal/flow"
 	"github.com/reversible-eda/rcgp/internal/obs"
-	"github.com/reversible-eda/rcgp/internal/pass"
 	"github.com/reversible-eda/rcgp/internal/pla"
 	"github.com/reversible-eda/rcgp/internal/real"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
@@ -209,14 +208,6 @@ type Options struct {
 	// (1+λ) evolutionary strategy, "anneal" for simulated annealing over
 	// the same chromosome, "hybrid" for CGP followed by annealing.
 	Optimizer string
-	// Script, when non-empty, replaces the default Fig. 2 pipeline with an
-	// explicit pass script — semicolon-separated pass invocations with
-	// optional options, e.g. "aig.resyn2;convert;cgp(gens=500);resub;buffer".
-	// Passes() enumerates the registered passes and their options. When
-	// Script is set, InitializationOnly, WindowRounds, Resubstitution, and
-	// Optimizer are ignored; the remaining options (Seed, Generations,
-	// Workers, …) become the baseline that script options override.
-	Script string
 	// Cache, when non-nil, is consulted before the search (a hit returns a
 	// stored, formally re-verified netlist for the function's NPN class
 	// without evolving anything) and updated with the result afterwards.
@@ -619,12 +610,10 @@ func (d *Design) SynthesizeContext(ctx context.Context, opt Options) (*Result, e
 		}
 	}
 	fopt := flow.Options{
-		SynthEffort:  aig.EffortStd,
 		SkipCGP:      opt.InitializationOnly,
 		WindowRounds: opt.WindowRounds,
 		Resub:        opt.Resubstitution,
 		Optimizer:    opt.Optimizer,
-		Script:       opt.Script,
 		Templates:    templatesOf(opt.Templates),
 		CGP: core.Options{
 			Lambda:       opt.Lambda,
@@ -772,47 +761,6 @@ func (c *Circuit) ExpandAQFP() (AQFPStats, error) {
 		JJs:        st.JJs,
 		Phases:     st.Phases,
 	}, nil
-}
-
-// PassOption documents one option of a registered pipeline pass.
-type PassOption struct {
-	Name    string // option key, e.g. "gens"
-	Kind    string // display type: int, float, bool, duration, …
-	Default string
-	Help    string
-}
-
-// PassInfo describes one registered pipeline pass — the vocabulary of
-// Options.Script.
-type PassInfo struct {
-	Name    string // script name, e.g. "cgp"
-	Stage   string // telemetry stage name, e.g. "flow.cgp"
-	Summary string
-	// Mutates marks passes that transform the RQFP netlist; the pass
-	// manager re-verifies equivalence against the specification oracle
-	// after each of them.
-	Mutates bool
-	Options []PassOption
-}
-
-// Passes enumerates the registered pipeline passes in pipeline order.
-func Passes() []PassInfo {
-	var out []PassInfo
-	for _, info := range pass.All() {
-		pi := PassInfo{
-			Name:    info.Name,
-			Stage:   info.Stage,
-			Summary: info.Summary,
-			Mutates: info.Mutates,
-		}
-		for _, o := range info.Options {
-			pi.Options = append(pi.Options, PassOption{
-				Name: o.Name, Kind: o.Kind, Default: o.Default, Help: o.Help,
-			})
-		}
-		out = append(out, pi)
-	}
-	return out
 }
 
 // ExactOptions tunes the exact-synthesis baseline.

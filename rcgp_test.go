@@ -101,6 +101,11 @@ func TestFromFuncAndHex(t *testing.T) {
 	if _, err := FromTruthTablesHex(2, nil); err == nil {
 		t.Fatal("empty outputs accepted")
 	}
+	for _, n := range []int{-1, 21} {
+		if _, err := FromTruthTablesHex(n, []string{"8"}); err == nil {
+			t.Fatalf("%d inputs accepted", n)
+		}
+	}
 }
 
 func TestCircuitSerializationRoundTrip(t *testing.T) {

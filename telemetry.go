@@ -16,10 +16,10 @@ type StageTime struct {
 	Duration time.Duration
 }
 
-// SkippedPass records a pipeline pass that was scheduled but did not run,
-// with the reason — e.g. the resubstitution pass on a circuit too wide for
-// an exhaustive oracle, or passes behind a cancellation. Nothing is ever
-// dropped silently.
+// SkippedPass records a pipeline stage that was scheduled but did not run,
+// with the reason — e.g. the resubstitution stage on a circuit too wide
+// for an exhaustive oracle, or stages behind a cancellation. Nothing is
+// ever dropped silently.
 type SkippedPass struct {
 	Name   string
 	Reason string
@@ -74,7 +74,7 @@ type MutationStat struct {
 type Telemetry struct {
 	// Stages is the pipeline wall-clock breakdown, in execution order.
 	Stages []StageTime
-	// Skipped lists scheduled pipeline passes that did not run, each with
+	// Skipped lists scheduled pipeline stages that did not run, each with
 	// the reason.
 	Skipped []SkippedPass
 	// Evaluations counts candidate fitness evaluations; EvalsPerSec is
@@ -112,8 +112,8 @@ type Telemetry struct {
 	StopReason string
 	// CEC aggregates the functional-equivalence oracle counters.
 	CEC CECStats
-	// Template is the template-rewrite pass's report (nil unless the pass
-	// ran, i.e. Options.Templates was set or a script named the pass).
+	// Template is the template-rewrite stage's report (nil unless
+	// Options.Templates was set).
 	Template *TemplateReport
 }
 
