@@ -2,6 +2,7 @@ package cec
 
 import (
 	"context"
+	"slices"
 
 	"github.com/reversible-eda/rcgp/internal/bits"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
@@ -13,9 +14,10 @@ import (
 // only the fan-out cone of the changed genes, recounting wrong bits only
 // for primary outputs whose value (or gene) changed and inheriting the
 // parent's per-output counts everywhere else. The verdict semantics match
-// CheckContext exactly in exact mode; fast-refute mode may report an
-// approximate (per-output lower-bounded) Match for refuted candidates but
-// never changes a proved/refuted verdict.
+// CheckContext exactly in exact mode. Fast-refute mode ends the sweep at
+// the first wrong output when the parent matches every sample, and may
+// report an approximate (per-output lower-bounded) Match for refuted
+// candidates, but never changes a proved/refuted verdict.
 //
 // When the parent is proved equal to the spec and the spec is not
 // exhaustive, an offspring that passes the screen is proved against the
@@ -51,6 +53,15 @@ type Incremental struct {
 	parent       *rqfp.Netlist
 	parentActive []bool
 	parentProved bool
+
+	// stop is RunDelta's stop set: the ports the parent's primary outputs
+	// read. CheckDelta unwatches the ports of an offspring's dirty outputs
+	// for the length of one check.
+	stop []bool
+
+	// costs computes an offspring's active mask for the parent-relative
+	// proof.
+	costs rqfp.CostEvaluator
 
 	poDirty []bool      // per-PO scratch for CheckDelta
 	miter   parentMiter // per-check scratch of the parent-relative proof
@@ -107,27 +118,37 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bo
 		inc.parentWrong[i] = w
 		inc.parentTotal += w
 	}
+	inc.stop = slices.Grow(inc.stop[:0], parent.NumPorts())[:parent.NumPorts()]
+	clear(inc.stop)
+	for _, po := range parent.POs {
+		inc.stop[po] = true
+	}
 }
 
 // CheckDelta evaluates a mutated offspring of the resident parent. The
 // candidate must share the parent's shape (the CGP point mutations only
 // rewire and flip, never grow). dirtyGates lists gates whose genes changed,
 // dirtyPOs the primary outputs whose gene changed; duplicates are fine.
-// active is the candidate's active mask (nil recomputes it).
 //
-// fastRefute trades Match precision for speed on refuted candidates: each
-// changed output is first screened with a word-level early-exit comparison,
-// and the full wrong-bit count is only taken on outputs that differ. The
-// proved/refuted verdict and every Match value of non-refuted candidates
-// are unaffected.
+// fastRefute trades Match precision for speed on refuted candidates. With
+// a parent that matches every sample, an output whose gene did not change
+// reads the same port as in the parent, whose base vector is the golden
+// response; so the sweep stops at the first such port that differs under
+// the sample mask, and the candidate is refuted with a Match from that
+// output's wrong bits alone. A sweep that runs to the end screens each
+// changed output with a word-level early-exit comparison and takes the
+// full wrong-bit count only on outputs that differ. The proved/refuted
+// verdict, the oracle counters, and every Match value of non-refuted
+// candidates are unaffected.
 //
 // A candidate that passes the screen is proved against a proved parent,
-// otherwise against the spec, with the same verdict either way.
+// otherwise against the spec, with the same verdict either way. Only then
+// is its active mask computed.
 //
 // ok is false when the resident parent is stale (or absent) — the caller
 // falls back to the full path and re-syncs. coneGates is the number of
-// gates re-simulated.
-func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGates, dirtyPOs []int32, active []bool, fastRefute bool) (v Verdict, coneGates int, ok bool) {
+// gates simulated before the verdict.
+func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGates, dirtyPOs []int32, fastRefute bool) (v Verdict, coneGates int, ok bool) {
 	view := inc.view
 	s := view.spec
 	if n.NumPI != s.NumPI || len(n.POs) != s.NumPO {
@@ -136,12 +157,28 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 	if inc.Stale() || inc.gen != view.gen {
 		return Verdict{}, 0, false
 	}
-	if active == nil {
-		active = n.ActiveGates()
-	}
-	coneGates = inc.delta.RunDelta(n, dirtyGates, active)
 	tail := bits.TailMask(view.samples, view.words)
 	totalBits := view.samples * s.NumPO
+	var stop []bool
+	if fastRefute && inc.parentTotal == 0 {
+		stop = inc.stop
+		for _, po := range dirtyPOs {
+			stop[inc.parent.POs[po]] = false
+		}
+	}
+	coneGates, at, stopped := inc.delta.RunDelta(n, dirtyGates, stop, tail)
+	if stop != nil {
+		for _, po := range dirtyPOs {
+			stop[inc.parent.POs[po]] = true
+		}
+	}
+	if stopped {
+		// No output that reads a watched port in the parent changed its
+		// gene, so output i reads the port in the child too.
+		i := slices.Index(inc.parent.POs, at)
+		wrong := bits.XorPopcountMasked(inc.delta.Port(at), view.golden[i], tail)
+		return s.finishCheck(ctx, n, wrong, totalBits, &view.stats), coneGates, true
+	}
 	for i := range inc.poDirty {
 		inc.poDirty[i] = false
 	}
@@ -170,7 +207,7 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 		}
 	}
 	if wrong == 0 && !s.Exhaustive && inc.parentProved {
-		return inc.proveAgainstParent(ctx, n, dirtyGates, active), coneGates, true
+		return inc.proveAgainstParent(ctx, n, dirtyGates, inc.costs.ActiveOnly(n)), coneGates, true
 	}
 	return s.finishCheck(ctx, n, wrong, totalBits, &view.stats), coneGates, true
 }

@@ -66,7 +66,7 @@ func TestParentProofRareDivergence(t *testing.T) {
 		t.Fatalf("the spec miter did not refute the constant: cex %v, err %v", wantCex, err)
 	}
 	before, words := stats(), spec.Words()
-	v, _, ok := inc.CheckDelta(ctx, zero, []int32{3}, nil, nil, false)
+	v, _, ok := inc.CheckDelta(ctx, zero, []int32{3}, nil, false)
 	if !ok || v.Proved || v.Aborted {
 		t.Fatalf("constant 0 not refuted: %+v ok=%v", v, ok)
 	}
@@ -93,7 +93,7 @@ func TestParentProofRareDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = stats()
-	v, _, ok = inc.CheckDelta(ctx, assoc, []int32{int32(last - 1), int32(last)}, nil, nil, false)
+	v, _, ok = inc.CheckDelta(ctx, assoc, []int32{int32(last - 1), int32(last)}, nil, false)
 	if !ok || !v.Proved {
 		t.Fatalf("re-associated chain not proved: %+v ok=%v", v, ok)
 	}
@@ -108,7 +108,7 @@ func TestParentProofRareDivergence(t *testing.T) {
 	in := &swap.Gates[3].In
 	in[0], in[1] = in[1], in[0]
 	before = stats()
-	v, _, ok = inc.CheckDelta(ctx, swap, []int32{3}, nil, nil, false)
+	v, _, ok = inc.CheckDelta(ctx, swap, []int32{3}, nil, false)
 	if !ok || !v.Proved {
 		t.Fatalf("swapped fanins not proved: %+v ok=%v", v, ok)
 	}
@@ -121,7 +121,7 @@ func TestParentProofRareDivergence(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	before = stats()
-	v, _, _ = inc.CheckDelta(cancelled, assoc, []int32{int32(last - 1), int32(last)}, nil, nil, false)
+	v, _, _ = inc.CheckDelta(cancelled, assoc, []int32{int32(last - 1), int32(last)}, nil, false)
 	if after = stats(); v.Proved || !v.Aborted || after.SATAborted != before.SATAborted+1 {
 		t.Fatalf("cancelled proof: %+v, aborted %d → %d", v, before.SATAborted, after.SATAborted)
 	}
@@ -129,7 +129,7 @@ func TestParentProofRareDivergence(t *testing.T) {
 	// An unproved parent sends the same refutation to the spec miter alone.
 	inc.SetParent(parent, nil, false)
 	before = stats()
-	v, _, _ = inc.CheckDelta(ctx, zero, []int32{3}, nil, nil, false)
+	v, _, _ = inc.CheckDelta(ctx, zero, []int32{3}, nil, false)
 	if !slices.Equal(v.Counterexample, wantCex) {
 		t.Fatalf("spec path counterexample %v, want %v", v.Counterexample, wantCex)
 	}

@@ -141,6 +141,9 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			e.shards[w] = new(obs.HistShard)
 		}
 		if e.incremental {
+			// cgp.cone_gates observes, per incremental evaluation, the
+			// gates simulated before the verdict, inactive cone gates
+			// included.
 			name := "cgp.cone_gates"
 			if island >= 0 {
 				name = fmt.Sprintf("cgp.cone_gates.island_%d", island)

@@ -23,7 +23,8 @@ type Outcome struct {
 	// the parent's: the Fitness was inherited without touching the oracle.
 	Dedup bool
 	// Incremental marks an evaluation served by dirty-cone re-simulation;
-	// ConeGates is the number of gates it re-simulated.
+	// ConeGates is the number of gates it simulated before the verdict,
+	// inactive cone gates included.
 	Incremental bool
 	ConeGates   int
 }
@@ -230,11 +231,9 @@ func (e *SpecEvaluator) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, delt
 	if e.sameAsParent(n, delta) {
 		return Outcome{Fitness: e.parentFit, Dedup: true}
 	}
-	// Only the reachability sweep up front: refuted candidates (the common
-	// case) never need the full cost metrics, so the depth/buffer analysis
-	// is deferred until a candidate actually proves equivalent.
-	active := e.costs.ActiveOnly(n)
-	v, cone, ok := e.inc.CheckDelta(ctx, n, delta.Gates, delta.POs, active, !e.Exact)
+	// Refuted candidates (the common case) need no cost metrics, so they
+	// are extracted only from a candidate that proves equivalent.
+	v, cone, ok := e.inc.CheckDelta(ctx, n, delta.Gates, delta.POs, !e.Exact)
 	if !ok {
 		return e.Evaluate(ctx, n)
 	}

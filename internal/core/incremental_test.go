@@ -194,13 +194,16 @@ func TestIncrementalNonExhaustive(t *testing.T) {
 }
 
 // FuzzIncrementalEval is the evaluator-level differential fuzz: random
-// mutation chains, every offspring scored by both EvaluateDelta (exact
-// mode) and the full reference Evaluate, each on its own identically built
-// spec, with fitnesses and counterexamples compared bit-for-bit. wide
-// selects the 16-input spec of buildComparatorCase, where offspring that
-// survive simulation are proved against their parent on the delta side and
-// against the spec on the reference side; the wide seeds must reach both
-// a proof and a refutation there.
+// mutation chains, every offspring scored by EvaluateDelta in exact mode,
+// by EvaluateDelta in fast-refute mode, and by the full reference
+// Evaluate, each on its own identically built spec. The exact leg must
+// match the reference bit-for-bit; the fast-refute leg must give the same
+// verdicts, costs and counterexamples, may report another Match only for
+// an offspring the simulation screen refutes, and must leave the same
+// oracle counters. wide selects the 16-input spec of buildComparatorCase,
+// where offspring that survive simulation are proved against their parent
+// on the delta side and against the spec on the reference side; the wide
+// seeds must reach both a proof and a refutation there.
 func FuzzIncrementalEval(f *testing.F) {
 	var wide cec.Stats
 	for _, seed := range []int64{1, 7, 42, 1337} {
@@ -217,7 +220,7 @@ func FuzzIncrementalEval(f *testing.F) {
 }
 
 // checkIncrementalEval runs one FuzzIncrementalEval chain and returns the
-// delta side's oracle counters.
+// exact leg's oracle counters.
 func checkIncrementalEval(tb testing.TB, seed int64, wide bool) cec.Stats {
 	build, rate := func() (*cec.Spec, *rqfp.Netlist) { return buildCase(decoderTables()) }, 0.25
 	switch {
@@ -228,9 +231,11 @@ func checkIncrementalEval(tb testing.TB, seed int64, wide bool) cec.Stats {
 		build = func() (*cec.Spec, *rqfp.Netlist) { return buildCase(fullAdderTables()) }
 	}
 	spec, n := build()
+	fastSpec, _ := build()
 	refSpec, _ := build()
 	ev := NewSpecEvaluator(spec)
 	ev.Exact = true // fast-refute off: Match must be exact even on refuted offspring
+	fast := NewSpecEvaluator(fastSpec)
 	ref := NewSpecEvaluator(refSpec)
 	ctx := context.Background()
 
@@ -241,9 +246,12 @@ func checkIncrementalEval(tb testing.TB, seed int64, wide bool) cec.Stats {
 	epoch := uint64(1)
 	for step := 0; step < 150; step++ {
 		ev.SyncParent(epoch, parent.net, parentFit)
+		fast.SyncParent(epoch, parent.net, parentFit)
 		child.copyFrom(parent)
 		child.mutate(r, rate)
-		got := ev.EvaluateDelta(ctx, child.net, Delta{Gates: child.dirtyGates, POs: child.dirtyPOs})
+		delta := Delta{Gates: child.dirtyGates, POs: child.dirtyPOs}
+		got := ev.EvaluateDelta(ctx, child.net, delta)
+		quick := fast.EvaluateDelta(ctx, child.net, delta)
 		want := ref.Evaluate(ctx, child.net)
 		if got.Fitness != want.Fitness {
 			tb.Fatalf("step %d: incremental fitness %+v != full %+v (dedup=%v incr=%v cone=%d)",
@@ -252,16 +260,42 @@ func checkIncrementalEval(tb testing.TB, seed int64, wide bool) cec.Stats {
 		if !slices.Equal(got.Counterexample, want.Counterexample) {
 			tb.Fatalf("step %d: incremental counterexample %v != full %v", step, got.Counterexample, want.Counterexample)
 		}
-		if got.Counterexample != nil {
+		checkFastRefute(tb, step, quick, want)
+		if want.Counterexample != nil {
 			ev.Learn(got.Counterexample)
+			fast.Learn(quick.Counterexample)
 			ref.Learn(want.Counterexample)
 		}
-		if got.Fitness.BetterOrEqual(parentFit) {
+		if want.Fitness.BetterOrEqual(parentFit) {
 			parent, child = child, parent
-			parentFit = got.Fitness
+			parentFit = want.Fitness
 			epoch++
 		}
 	}
 	ev.FlushStats()
+	fast.FlushStats()
+	exactStats, fastStats := spec.Stats(), fastSpec.Stats()
+	exactStats.SATTime, fastStats.SATTime = 0, 0
+	if exactStats != fastStats {
+		tb.Fatalf("oracle counters diverged:\nexact %+v\nfast  %+v", exactStats, fastStats)
+	}
 	return spec.Stats()
+}
+
+// checkFastRefute compares a fast-refute evaluation with the full path's:
+// the same verdict, costs, counterexample and abort flag, and the same
+// Match unless the full path refuted the offspring by simulation, where
+// the fast Match need only stay below 1.
+func checkFastRefute(tb testing.TB, step int, got, want Outcome) {
+	tb.Helper()
+	g := got.Fitness
+	if !want.Fitness.Valid && want.Counterexample == nil && !want.Aborted {
+		if g.Valid || g.Match >= 1 {
+			tb.Fatalf("step %d: fast-refute fitness %+v for an offspring the screen refutes (full %+v)", step, g, want.Fitness)
+		}
+		g.Match = want.Fitness.Match
+	}
+	if g != want.Fitness || !slices.Equal(got.Counterexample, want.Counterexample) || got.Aborted != want.Aborted {
+		tb.Fatalf("step %d: fast-refute outcome %+v != full %+v", step, got, want)
+	}
 }

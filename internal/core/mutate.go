@@ -103,7 +103,7 @@ func (g *genotype) reconnectInput(gate, field int, r *rand.Rand) bool {
 	if v == old {
 		return false
 	}
-	self := rqfp.PortUser{Kind: rqfp.UserGateInput, Gate: gate, Input: field}
+	self := rqfp.PortUser{Kind: rqfp.UserGateInput, Gate: int32(gate), Input: uint8(field)}
 	return g.rewire(old, v, self)
 }
 
@@ -115,7 +115,7 @@ func (g *genotype) reconnectPO(po int, r *rand.Rand) bool {
 	if v == old {
 		return false
 	}
-	self := rqfp.PortUser{Kind: rqfp.UserPO, PO: po}
+	self := rqfp.PortUser{Kind: rqfp.UserPO, PO: int32(po)}
 	return g.rewire(old, v, self)
 }
 
@@ -152,7 +152,7 @@ func (g *genotype) rewire(old, v rqfp.Signal, self rqfp.PortUser) bool {
 	// users (the constant is always legal).
 	swapLegal := true
 	if other.Kind == rqfp.UserGateInput && old != rqfp.ConstPort {
-		swapLegal = old < n.GateBase(other.Gate)
+		swapLegal = old < n.GateBase(int(other.Gate))
 	}
 	switch {
 	case swapLegal:
@@ -185,10 +185,10 @@ func (g *genotype) setSource(u rqfp.PortUser, s rqfp.Signal) {
 	switch u.Kind {
 	case rqfp.UserGateInput:
 		g.net.Gates[u.Gate].In[u.Input] = s
-		g.dirtyGates = append(g.dirtyGates, int32(u.Gate))
+		g.dirtyGates = append(g.dirtyGates, u.Gate)
 	case rqfp.UserPO:
 		g.net.POs[u.PO] = s
-		g.dirtyPOs = append(g.dirtyPOs, int32(u.PO))
+		g.dirtyPOs = append(g.dirtyPOs, u.PO)
 	}
 }
 

@@ -121,10 +121,11 @@ type Telemetry struct {
 	DedupSkips       int64
 	IncrementalEvals int64
 	FullEvals        int64
-	// ConeGates accumulates the number of gates re-simulated across all
-	// incremental evaluations; ConeGates/IncrementalEvals is the mean
-	// dirty-cone size (compare with the parent's gate count for the
-	// per-offspring simulation saving).
+	// ConeGates accumulates the number of gates simulated before the
+	// verdict across all incremental evaluations, inactive cone gates
+	// included; ConeGates/IncrementalEvals is the mean simulation work per
+	// evaluation (compare with the parent's gate count for the saving). A
+	// refuted offspring's sweep ends at its first wrong output.
 	ConeGates int64
 	// StopReason records why the run terminated.
 	StopReason StopReason

@@ -31,10 +31,10 @@ const (
 
 // ActiveOnly computes just the active-gate mask — the reachability prefix
 // of Eval — for callers that need reachability but not the cost metrics
-// (the incremental evaluator only extracts full costs from proved
-// candidates). Topological gate order turns the DFS into one cache-friendly
-// descending sweep: a gate's consumers all sit above it, so by the time the
-// sweep reaches a gate its activity is already settled. Shares Eval's
+// (the incremental checker needs an offspring's mask only for the
+// parent-relative proof). Topological gate order turns the DFS into one
+// cache-friendly descending sweep: a gate's consumers all sit above it, so
+// by the time the sweep reaches a gate its activity is already settled. Shares Eval's
 // scratch: the returned mask is valid until the next ActiveOnly or Eval
 // call.
 func (ce *CostEvaluator) ActiveOnly(n *Netlist) []bool {

@@ -81,10 +81,20 @@ func (d *DeltaSim) grow(numPorts, numGates int) {
 // genes changed (it appears in seedGates, duplicates allowed) or when it
 // reads a port whose value diverged from the parent. Output ports are
 // marked dirty only when the recomputed vector actually differs from the
-// base, which prunes cones behind semantically neutral gene changes. Gates
-// inactive in the candidate (active non-nil) are skipped: they cannot reach
-// a PO, so their stale values are never read. Returns the number of gates
-// re-simulated — the cone size.
+// base, which prunes cones behind semantically neutral gene changes.
+// Gates the candidate leaves inactive are simulated like any other cone
+// gate; their values are never read.
+//
+// stop, when non-nil, is a per-port stop set: the sweep ends at the first
+// recomputed port p with stop[p] whose vector differs from the base in the
+// bits under the sample mask (all words, the last one masked by tail), and
+// returns that port with stopped true. The gates above it are not
+// simulated, so after a stopped sweep only the ports of the stop port's
+// gate and of the gates below it read their candidate values. A
+// difference outside the mask does not stop the sweep. With a nil stop set
+// (tail is then unused) the sweep always runs to the end.
+//
+// cone is the number of gates simulated before the sweep ended.
 //
 // Each re-simulated gate runs one fused pass over the stimulus words: it
 // loads each input word once, from the overlay or the base arena by the
@@ -94,8 +104,8 @@ func (d *DeltaSim) grow(numPorts, numGates int) {
 // with bits.MajInv and serves as the reference the tests compare against.
 //
 // The candidate must share the parent's shape (same NumPI and gate count),
-// which the CGP point mutations guarantee.
-func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, active []bool) int {
+// which the CGP point mutations guarantee; stop must cover its ports.
+func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, stop []bool, tail uint64) (cone int, at Signal, stopped bool) {
 	d.grow(n.NumPorts(), len(n.Gates))
 	d.bump()
 	epoch := d.epoch
@@ -104,11 +114,7 @@ func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, active []bool) int {
 	}
 	w := d.base.words
 	over, par := d.arena, d.base.arena
-	cone := 0
 	for g := range n.Gates {
-		if active != nil && !active[g] {
-			continue
-		}
 		gate := &n.Gates[g]
 		in0, in1, in2 := int(gate.In[0]), int(gate.In[1]), int(gate.In[2])
 		dirty0, dirty1, dirty2 := d.mark[in0] == epoch, d.mark[in1] == epoch, d.mark[in2] == epoch
@@ -161,8 +167,21 @@ func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, active []bool) int {
 		// A port whose vector equals the base stays clean, so the gates
 		// downstream of it are not re-simulated.
 		d.mark[s], d.mark[s+1], d.mark[s+2] = dirtyMark(diff0, epoch), dirtyMark(diff1, epoch), dirtyMark(diff2, epoch)
+		if stop == nil || diff0|diff1|diff2 == 0 {
+			continue
+		}
+		// The diff words cover the tail bits too; a watched port that
+		// differs is re-compared under the mask, which is rare.
+		switch {
+		case diff0 != 0 && stop[s] && !bits.EqualMasked(o0, b0, tail):
+			return cone, Signal(s), true
+		case diff1 != 0 && stop[s+1] && !bits.EqualMasked(o1, b1, tail):
+			return cone, Signal(s + 1), true
+		case diff2 != 0 && stop[s+2] && !bits.EqualMasked(o2, b2, tail):
+			return cone, Signal(s + 2), true
+		}
 	}
-	return cone
+	return cone, 0, false
 }
 
 // dirtyMark is the mark of an output port whose recomputed vector differs

@@ -89,7 +89,10 @@ func TestDeltaSimMatchesFullSimulation(t *testing.T) {
 			for off := 0; off < 4; off++ {
 				cand := parent.Clone()
 				seeds := mutateGenes(r, cand, 1+r.Intn(4))
-				cone := d.RunDelta(cand, seeds, nil)
+				cone, _, stopped := d.RunDelta(cand, seeds, nil, 0)
+				if stopped {
+					t.Fatal("a sweep without a stop set stopped")
+				}
 
 				ref := NewSimContext(cand.NumPorts(), words)
 				ref.Run(cand, inputs, nil)
@@ -114,7 +117,7 @@ func TestDeltaSimEmptyDeltaTouchesNothing(t *testing.T) {
 	base := NewSimContext(parent.NumPorts(), len(inputs[0]))
 	base.Run(parent, inputs, nil)
 	d := NewDeltaSim(base)
-	if cone := d.RunDelta(parent, nil, nil); cone != 0 {
+	if cone, _, _ := d.RunDelta(parent, nil, nil, 0); cone != 0 {
 		t.Fatalf("no seeds: cone = %d, want 0", cone)
 	}
 	for _, po := range parent.POs {
@@ -124,41 +127,146 @@ func TestDeltaSimEmptyDeltaTouchesNothing(t *testing.T) {
 	}
 }
 
-func TestDeltaSimRespectsActiveMask(t *testing.T) {
+// TestDeltaSimStopSet checks the stop set against a reference sweep: a
+// gate is in the cone when its genes changed or it reads a port whose
+// recomputed vector differs from the base, and the sweep must end at the
+// first cone port in the stop set that differs under the sample mask,
+// having simulated exactly the cone gates up to it, with every port below
+// it at its candidate value. With a nil stop set it runs to the end.
+func TestDeltaSimStopSet(t *testing.T) {
+	stops := 0
 	for _, stim := range deltaStimuli {
-		r := rand.New(rand.NewSource(17 + int64(stim)))
-		parent := looseNetlist(r, 4, 15, 2)
-		inputs := deltaInputs(r, 4, stim)
-		base := NewSimContext(parent.NumPorts(), len(inputs[0]))
-		base.Run(parent, inputs, nil)
-		d := NewDeltaSim(base)
+		r := rand.New(rand.NewSource(31 + int64(stim)))
+		for trial := 0; trial < 40; trial++ {
+			numPI := 2 + r.Intn(6)
+			parent := looseNetlist(r, numPI, 3+r.Intn(30), 1+r.Intn(4))
+			inputs := deltaInputs(r, numPI, stim)
+			words := len(inputs[0])
+			tail := bits.TailMask(words*64-r.Intn(64), words)
+			base := NewSimContext(parent.NumPorts(), words)
+			base.Run(parent, inputs, nil)
+			d := NewDeltaSim(base)
+			for off := 0; off < 4; off++ {
+				cand := parent.Clone()
+				seeds := mutateGenes(r, cand, 1+r.Intn(4))
+				ref := NewSimContext(cand.NumPorts(), words)
+				ref.Run(cand, inputs, nil)
+				stop := make([]bool, cand.NumPorts())
+				for p := range stop {
+					stop[p] = r.Intn(4) == 0
+				}
 
-		cand := parent.Clone()
-		seeds := mutateGenes(r, cand, 3)
-		active := cand.ActiveGates()
-		d.RunDelta(cand, seeds, active)
+				// The reference sweep.
+				inCone := make([]bool, len(cand.Gates))
+				for _, g := range seeds {
+					inCone[g] = true
+				}
+				changed := func(s Signal) bool {
+					g, _, ok := cand.PortOwner(s)
+					return ok && inCone[g] && !ref.Port(s).Eq(base.Port(s))
+				}
+				wantCone, wantAt, wantStopped := 0, Signal(0), false
+				for g := range cand.Gates {
+					for _, in := range cand.Gates[g].In {
+						inCone[g] = inCone[g] || changed(in)
+					}
+					if !inCone[g] {
+						continue
+					}
+					wantCone++
+					for m := 0; m < 3 && !wantStopped; m++ {
+						p := cand.Port(g, m)
+						if stop[p] && !bits.EqualMasked(ref.Port(p), base.Port(p), tail) {
+							wantAt, wantStopped = p, true
+						}
+					}
+					if wantStopped {
+						break
+					}
+				}
 
-		ref := NewSimContext(cand.NumPorts(), len(inputs[0]))
-		ref.Run(cand, inputs, nil)
-		for _, po := range cand.POs {
-			if !d.Port(po).Eq(ref.Port(po)) {
-				t.Fatalf("%d words: active-masked delta diverges on a primary output", len(inputs[0]))
+				cone, at, stopped := d.RunDelta(cand, seeds, stop, tail)
+				if cone != wantCone || at != wantAt || stopped != wantStopped {
+					t.Fatalf("%d words, trial %d offspring %d: RunDelta = (cone %d, port %d, stopped %v), want (%d, %d, %v)",
+						words, trial, off, cone, at, stopped, wantCone, wantAt, wantStopped)
+				}
+				// The stop gate's ports and every port below them hold
+				// their candidate values.
+				end := Signal(cand.NumPorts())
+				if stopped {
+					stops++
+					g, _, _ := cand.PortOwner(at)
+					end = cand.Port(g, 2) + 1
+				}
+				for s := Signal(0); s < end; s++ {
+					if !d.Port(s).Eq(ref.Port(s)) {
+						t.Fatalf("%d words, trial %d offspring %d: port %d diverges below the stop", words, trial, off, s)
+					}
+				}
+
+				full, _, fullStopped := d.RunDelta(cand, seeds, nil, tail)
+				if full < cone || fullStopped {
+					t.Fatalf("nil stop set: cone %d stopped %v, want a full sweep of at least %d gates", full, fullStopped, cone)
+				}
 			}
 		}
+	}
+	if stops == 0 {
+		t.Fatal("no sweep ever stopped")
+	}
+}
+
+// TestDeltaSimStopIgnoresTailBits builds a watched port that differs from
+// the base only in the bits past the last sample, and a later one that
+// differs in a sample: the sweep must pass the first and stop at the
+// second, and stop at the first once every bit counts.
+func TestDeltaSimStopIgnoresTailBits(t *testing.T) {
+	parent := NewNetlist(2)
+	and := ConfigCopy.FlipInv(0, 2) // majority 0: MAJ(a, b, ¬1) = a ∧ b
+	a, b := parent.PIPort(0), parent.PIPort(1)
+	parent.AddGate(Gate{In: [3]Signal{a, b, ConstPort}, Cfg: and})
+	parent.AddGate(Gate{In: [3]Signal{a, b, ConstPort}, Cfg: and})
+	// Two words, 100 samples: a and b agree on every sample and differ
+	// only in the 28 bits past them.
+	const samples = 100
+	tail := bits.TailMask(samples, 2)
+	r := rand.New(rand.NewSource(3))
+	in := bits.RandomInputs(2, 2, r)
+	copy(in[1], in[0])
+	in[1][1] ^= ^tail
+	base := NewSimContext(parent.NumPorts(), 2)
+	base.Run(parent, in, nil)
+	d := NewDeltaSim(base)
+
+	cand := parent.Clone()
+	cand.Gates[0].Cfg = ConfigCopy        // a ∨ b: differs from a ∧ b where a ≠ b
+	cand.Gates[1].Cfg = and.FlipInv(0, 0) // ¬a ∧ b: differs where b = 1
+	stop := make([]bool, cand.NumPorts())
+	stop[cand.Port(0, 0)], stop[cand.Port(1, 0)] = true, true
+	if cone, at, stopped := d.RunDelta(cand, []int32{0, 1}, stop, tail); !stopped || at != cand.Port(1, 0) || cone != 2 {
+		t.Fatalf("RunDelta = (cone %d, port %d, stopped %v), want (2, %d, true)", cone, at, stopped, cand.Port(1, 0))
+	}
+	if cone, at, stopped := d.RunDelta(cand, []int32{0, 1}, stop, ^uint64(0)); !stopped || at != cand.Port(0, 0) || cone != 1 {
+		t.Fatalf("unmasked: RunDelta = (cone %d, port %d, stopped %v), want (1, %d, true)", cone, at, stopped, cand.Port(0, 0))
+	}
+	stop[cand.Port(1, 0)] = false
+	if cone, _, stopped := d.RunDelta(cand, []int32{0, 1}, stop, tail); stopped || cone != 2 {
+		t.Fatalf("tail-only difference: RunDelta = (cone %d, stopped %v), want a full sweep of 2 gates", cone, stopped)
 	}
 }
 
 // BenchmarkRunDelta times the dirty-cone kernel alone at cgp-hwb8's scale:
 // a 1,686-gate, 8-input netlist under its exhaustive 4-word stimulus, and
 // offspring of about 170 configuration flips each, the count a hwb8
-// offspring gets at the default mutation rate.
+// offspring gets at the default mutation rate. "full" sweeps the whole
+// cone; "stop" watches the parent's primary-output ports, as the
+// incremental checker does for a parent that matches every sample.
 func BenchmarkRunDelta(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	parent := looseNetlist(r, 8, 1686, 8)
 	inputs := bits.ExhaustiveInputs(8)
 	base := NewSimContext(parent.NumPorts(), len(inputs[0]))
 	base.Run(parent, inputs, nil)
-	d := NewDeltaSim(base)
 	const mutants = 32
 	cands := make([]*Netlist, mutants)
 	seeds := make([][]int32, mutants)
@@ -170,14 +278,28 @@ func BenchmarkRunDelta(b *testing.B) {
 			seeds[i] = append(seeds[i], int32(g))
 		}
 	}
-	d.RunDelta(cands[0], seeds[0], nil) // grow the overlay outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	cone := 0
-	for i := 0; i < b.N; i++ {
-		cone += d.RunDelta(cands[i%mutants], seeds[i%mutants], nil)
+	watched := make([]bool, parent.NumPorts())
+	for _, po := range parent.POs {
+		watched[po] = true
 	}
-	b.ReportMetric(float64(cone)/float64(b.N), "gates/op")
+	tail := bits.TailMask(256, len(inputs[0]))
+	for _, c := range []struct {
+		name string
+		stop []bool
+	}{{"full", nil}, {"stop", watched}} {
+		b.Run(c.name, func(b *testing.B) {
+			d := NewDeltaSim(base)
+			d.RunDelta(cands[0], seeds[0], c.stop, tail) // grow the overlay outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			cone := 0
+			for i := 0; i < b.N; i++ {
+				n, _, _ := d.RunDelta(cands[i%mutants], seeds[i%mutants], c.stop, tail)
+				cone += n
+			}
+			b.ReportMetric(float64(cone)/float64(b.N), "gates/op")
+		})
+	}
 }
 
 func TestPhenotypeEqual(t *testing.T) {

@@ -160,16 +160,17 @@ func (n *Netlist) UseCounts() []int {
 
 // PortUser identifies the single load of a port: either a gate input
 // (Gate, Input) or a primary output (PO), discriminated by Kind. The CGP
-// swap mutation maintains a table of these.
+// swap mutation maintains a table of these, one per port, and copies it
+// into every offspring, so the fields are packed into 12 bytes.
 type PortUser struct {
 	Kind  UserKind
-	Gate  int // valid for UserGateInput
-	Input int // valid for UserGateInput
-	PO    int // valid for UserPO
+	Input uint8 // valid for UserGateInput
+	Gate  int32 // valid for UserGateInput
+	PO    int32 // valid for UserPO
 }
 
 // UserKind discriminates PortUser.
-type UserKind int
+type UserKind uint8
 
 // Port user kinds.
 const (
@@ -185,13 +186,13 @@ func (n *Netlist) Users() []PortUser {
 	for g := range n.Gates {
 		for j, in := range n.Gates[g].In {
 			if in != ConstPort {
-				users[in] = PortUser{Kind: UserGateInput, Gate: g, Input: j}
+				users[in] = PortUser{Kind: UserGateInput, Gate: int32(g), Input: uint8(j)}
 			}
 		}
 	}
 	for i, po := range n.POs {
 		if po != ConstPort {
-			users[po] = PortUser{Kind: UserPO, PO: i}
+			users[po] = PortUser{Kind: UserPO, PO: int32(i)}
 		}
 	}
 	return users

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
 	"github.com/reversible-eda/rcgp/internal/bits"
@@ -58,8 +59,13 @@ func TestAndGateSimulation(t *testing.T) {
 
 func TestEvalBoolMatchesSimulate(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		n := randomNetlist(4, 8, 3, r)
+	for trial := 0; trial < 40; trial++ {
+		// Half the netlists span many 64-port words of EvalBool's bit set.
+		gates := 8
+		if trial%2 == 1 {
+			gates = 400
+		}
+		n := randomNetlist(4, gates, 3, r)
 		tts := n.TruthTables()
 		for s := uint(0); s < 16; s++ {
 			outs := n.EvalBool(s)
@@ -225,6 +231,10 @@ func TestUsersTable(t *testing.T) {
 	}
 	if users[n.Port(0, 0)].Kind != UserNone {
 		t.Fatal("dangling port should have no user")
+	}
+	// Every CGP offspring copies one entry per port.
+	if size := unsafe.Sizeof(PortUser{}); size != 12 {
+		t.Fatalf("PortUser is %d bytes, want 12", size)
 	}
 }
 

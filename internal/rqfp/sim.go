@@ -10,11 +10,11 @@ import (
 // one flat structure-of-arrays arena — port p owns arena[p*words:(p+1)*words]
 // — so a whole context is a single allocation, ascending-port simulation
 // sweeps walk memory linearly, and growing to a larger netlist re-arenas
-// once instead of allocating per port.
+// once instead of allocating per port. Port 0 is all-ones (constant 1).
 type SimContext struct {
-	words int
-	arena []uint64
-	ports []bits.Vec // indexed by Signal; ports[0] is all-ones (constant 1)
+	words    int
+	numPorts int
+	arena    []uint64
 
 	// stimID/stimGen identify the stimulus currently resident in the PI
 	// port vectors (see RunTagged). Zero means untagged: the next run
@@ -27,7 +27,7 @@ type SimContext struct {
 func NewSimContext(maxPorts, words int) *SimContext {
 	ctx := &SimContext{words: words}
 	ctx.grow(maxPorts)
-	ctx.ports[0].Fill(^uint64(0))
+	ctx.Port(ConstPort).Fill(^uint64(0))
 	return ctx
 }
 
@@ -35,7 +35,7 @@ func NewSimContext(maxPorts, words int) *SimContext {
 // existing vector contents. Existing bits.Vec handles into the old arena
 // stay readable but are detached; callers must re-fetch via Port.
 func (ctx *SimContext) grow(numPorts int) {
-	if numPorts <= len(ctx.ports) {
+	if numPorts <= ctx.numPorts {
 		return
 	}
 	if numPorts < 1 {
@@ -43,19 +43,17 @@ func (ctx *SimContext) grow(numPorts int) {
 	}
 	arena := make([]uint64, numPorts*ctx.words)
 	copy(arena, ctx.arena)
-	ports := make([]bits.Vec, numPorts)
-	for i := range ports {
-		ports[i] = bits.Vec(arena[i*ctx.words : (i+1)*ctx.words : (i+1)*ctx.words])
-	}
-	ctx.arena = arena
-	ctx.ports = ports
+	ctx.arena, ctx.numPorts = arena, numPorts
 }
 
 // Words returns the stimulus width.
 func (ctx *SimContext) Words() int { return ctx.words }
 
 // Port returns the simulated vector of a signal after Run.
-func (ctx *SimContext) Port(s Signal) bits.Vec { return ctx.ports[s] }
+func (ctx *SimContext) Port(s Signal) bits.Vec {
+	w := ctx.words
+	return bits.Vec(ctx.arena[int(s)*w : int(s+1)*w : int(s+1)*w])
+}
 
 // Run simulates the netlist on the given per-PI stimulus. If active is
 // non-nil, inactive gates are skipped (their port vectors are stale). The
@@ -78,7 +76,7 @@ func (ctx *SimContext) RunTagged(n *Netlist, inputs []bits.Vec, active []bool, s
 	ctx.grow(n.NumPorts())
 	if stimID == 0 || ctx.stimID != stimID || ctx.stimGen != stimGen {
 		for i, in := range inputs {
-			copy(ctx.ports[n.PIPort(i)], in)
+			copy(ctx.Port(n.PIPort(i)), in)
 		}
 		ctx.stimID, ctx.stimGen = stimID, stimGen
 	}
@@ -87,13 +85,13 @@ func (ctx *SimContext) RunTagged(n *Netlist, inputs []bits.Vec, active []bool, s
 			continue
 		}
 		gate := &n.Gates[g]
-		v0 := ctx.ports[gate.In[0]]
-		v1 := ctx.ports[gate.In[1]]
-		v2 := ctx.ports[gate.In[2]]
+		v0 := ctx.Port(gate.In[0])
+		v1 := ctx.Port(gate.In[1])
+		v2 := ctx.Port(gate.In[2])
 		base := n.GateBase(g)
 		for m := 0; m < 3; m++ {
 			x0, x1, x2 := gate.Cfg.InvMasks(m)
-			bits.MajInv(ctx.ports[base+Signal(m)], v0, v1, v2, x0, x1, x2)
+			bits.MajInv(ctx.Port(base+Signal(m)), v0, v1, v2, x0, x1, x2)
 		}
 	}
 }
@@ -108,7 +106,7 @@ func (n *Netlist) Simulate(inputs []bits.Vec) []bits.Vec {
 	ctx.Run(n, inputs, nil)
 	outs := make([]bits.Vec, len(n.POs))
 	for i, po := range n.POs {
-		outs[i] = ctx.ports[po].Clone()
+		outs[i] = ctx.Port(po).Clone()
 	}
 	return outs
 }
@@ -127,35 +125,39 @@ func (n *Netlist) TruthTables() []tt.TT {
 }
 
 // evalStackPorts is the port count up to which EvalBool keeps its port
-// values on the stack.
-const evalStackPorts = 1024
+// values on the stack, one bit per port.
+const evalStackPorts = 1 << 16
 
 // EvalBool evaluates the netlist on a single concrete input assignment
 // (bit i of `assignment` = primary input i). Reference semantics for tests.
 // Up to evalStackPorts ports it allocates only its result, so callers that
 // sweep many assignments produce no other garbage.
 func (n *Netlist) EvalBool(assignment uint) []bool {
-	var stack [evalStackPorts]bool
-	var vals []bool
-	if ports := n.NumPorts(); ports <= len(stack) {
-		vals = stack[:ports]
+	var stack [evalStackPorts / 64]uint64
+	var vals []uint64
+	if words := (n.NumPorts() + 63) / 64; words <= len(stack) {
+		vals = stack[:words]
 	} else {
-		vals = make([]bool, ports)
+		vals = make([]uint64, words)
 	}
-	vals[ConstPort] = true
+	get := func(s Signal) uint64 { return vals[s>>6] >> (s & 63) & 1 }
+	set := func(s Signal, v uint64) { vals[s>>6] |= v << (s & 63) }
+	set(ConstPort, 1)
 	for i := 0; i < n.NumPI; i++ {
-		vals[n.PIPort(i)] = assignment>>uint(i)&1 == 1
+		set(n.PIPort(i), uint64(assignment>>uint(i)&1))
 	}
 	for g := range n.Gates {
 		gate := &n.Gates[g]
-		in := [3]bool{vals[gate.In[0]], vals[gate.In[1]], vals[gate.In[2]]}
+		a, b, c := get(gate.In[0]), get(gate.In[1]), get(gate.In[2])
 		for m := 0; m < 3; m++ {
-			vals[n.Port(g, m)] = gate.Cfg.OutputBool(m, in)
+			x0, x1, x2 := gate.Cfg.InvMasks(m)
+			x, y, z := a^x0&1, b^x1&1, c^x2&1
+			set(n.Port(g, m), x&y|x&z|y&z)
 		}
 	}
 	outs := make([]bool, len(n.POs))
 	for i, po := range n.POs {
-		outs[i] = vals[po]
+		outs[i] = get(po) == 1
 	}
 	return outs
 }

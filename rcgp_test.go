@@ -220,9 +220,10 @@ func TestWriteVerilogFacade(t *testing.T) {
 }
 
 // TestCircuitEvaluateAllocatesOnlyResult pins Circuit.Evaluate to one
-// allocation per call — its result — on a 24-input adder. Callers sweep
-// tens of thousands of assignments per circuit, so any per-call scratch
-// would be garbage in proportion.
+// allocation per call — its result — on a 24-input adder and on hwb8, whose
+// 5,000-odd ports are more than a byte-per-port stack buffer would hold.
+// Callers sweep tens of thousands of assignments per circuit, so any
+// per-call buffer would be garbage in proportion.
 func TestCircuitEvaluateAllocatesOnlyResult(t *testing.T) {
 	const n = 12
 	var sb strings.Builder
@@ -269,5 +270,17 @@ func TestCircuitEvaluateAllocatesOnlyResult(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { c.Evaluate(x) }); allocs != 1 {
 		t.Fatalf("Circuit.Evaluate made %v allocations per call, want 1", allocs)
+	}
+
+	hwb8, err := Benchmark("hwb8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = hwb8.Synthesize(Options{Generations: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c = res.Circuit()
+	if allocs := testing.AllocsPerRun(100, func() { c.Evaluate(0xa5) }); allocs != 1 {
+		t.Fatalf("hwb8: Circuit.Evaluate made %v allocations per call, want 1", allocs)
 	}
 }

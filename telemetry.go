@@ -102,8 +102,11 @@ type Telemetry struct {
 	DedupSkips       int64
 	IncrementalEvals int64
 	FullEvals        int64
-	// ConeGates is the total number of gates re-simulated by incremental
-	// evaluations; ConeGates/IncrementalEvals is the mean dirty-cone size.
+	// ConeGates is the total number of gates incremental evaluations
+	// simulated before their verdict, cone gates the offspring leaves
+	// inactive included. A refuted offspring's sweep ends at its first
+	// wrong output, so ConeGates/IncrementalEvals is the mean work per
+	// evaluation, not the mean size of the dirty cone.
 	ConeGates int64
 	// StopReason records why the search stopped: "generations" (budget
 	// exhausted), "deadline" (TimeBudget expired), or "canceled" (the
