@@ -1,121 +1,34 @@
 package rcgp
 
-// Benchmark harness regenerating the RCGP paper's evaluation artifacts:
+// Design-choice benchmarks of the RCGP search. The paper's Table 1 and
+// Table 2 rows come from cmd/rcgp-tables alone; this file holds:
 //
-//   - BenchmarkTable1/<circuit> — one benchmark per Table 1 row (small
-//     RevLib circuits): initialization baseline vs RCGP, with the exact
-//     baseline on the circuits where it terminates quickly.
-//   - BenchmarkTable2/<circuit> — one benchmark per Table 2 row (large
-//     RevLib circuits + reversible reciprocal circuits).
 //   - BenchmarkAblation* — the design-choice ablations DESIGN.md calls
-//     out: shrink policy, mutation rate, offspring count, and the
-//     equivalence-oracle configuration.
+//     out: shrink policy, mutation rate, offspring count, optimizer, and
+//     the initialization front end;
+//   - BenchmarkParallelEvaluation — worker-pool scaling of the (1+λ)
+//     engine on hwb8.
 //
-// Rows are reported via b.ReportMetric (gates, garbage, JJs, depth and the
-// reduction vs initialization), so `go test -bench Table -benchmem`
-// prints the table data alongside timing. Budgets are laptop-scale; see
-// EXPERIMENTS.md for the scaled-up runs.
+// Results are reported via b.ReportMetric (gates and, where relevant,
+// evaluations per second), so `go test -bench Ablation -benchtime 1x`
+// prints them alongside timing. Budgets are laptop-scale.
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
 	"github.com/reversible-eda/rcgp/internal/bench"
 	"github.com/reversible-eda/rcgp/internal/cec"
 	"github.com/reversible-eda/rcgp/internal/core"
-	"github.com/reversible-eda/rcgp/internal/exact"
 	"github.com/reversible-eda/rcgp/internal/flow"
 	"github.com/reversible-eda/rcgp/internal/mig"
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 )
 
 // benchGenerations keeps `go test -bench=.` under a few minutes while
-// still showing real reductions. cmd/rcgp-tables raises this.
+// still showing real reductions.
 const benchGenerations = 20000
-
-func reportRow(b *testing.B, res *flow.Result) {
-	b.ReportMetric(float64(res.FinalStats.Gates), "gates")
-	b.ReportMetric(float64(res.FinalStats.Garbage), "garbage")
-	b.ReportMetric(float64(res.FinalStats.JJs), "JJs")
-	b.ReportMetric(float64(res.FinalStats.Depth), "depth")
-	b.ReportMetric(float64(res.FinalStats.Buffers), "buffers")
-	if res.InitialStats.Gates > 0 {
-		b.ReportMetric(100*(1-float64(res.FinalStats.Gates)/float64(res.InitialStats.Gates)), "gateRed%")
-	}
-	if res.InitialStats.Garbage > 0 {
-		b.ReportMetric(100*(1-float64(res.FinalStats.Garbage)/float64(res.InitialStats.Garbage)), "garbRed%")
-	}
-}
-
-func benchCircuit(b *testing.B, c bench.Circuit, generations int) {
-	b.ReportAllocs()
-	var last *flow.Result
-	for i := 0; i < b.N; i++ {
-		res, err := flow.RunTables(c.Tables, flow.Options{
-			CGP: core.Options{
-				Generations:  generations,
-				MutationRate: 0.15,
-				Seed:         1,
-				TimeBudget:   time.Minute,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	reportRow(b, last)
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for _, c := range bench.Table1() {
-		c := c
-		b.Run(c.Name, func(b *testing.B) { benchCircuit(b, c, benchGenerations) })
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for _, c := range bench.Table2() {
-		c := c
-		gens := benchGenerations
-		if c.NumPI >= 8 {
-			gens = benchGenerations / 4 // keep the big rows affordable
-		}
-		b.Run(c.Name, func(b *testing.B) { benchCircuit(b, c, gens) })
-	}
-}
-
-// BenchmarkTable1Exact regenerates the exact-synthesis columns on the
-// circuits where the method terminates within a laptop budget; the others
-// reproduce the paper's "\" timeout marker (reported as gates = -1).
-func BenchmarkTable1Exact(b *testing.B) {
-	for _, c := range []bench.Circuit{bench.FullAdder(), bench.Gt10(), bench.Decoder(2)} {
-		c := c
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			var gates, garbage float64 = -1, -1
-			for i := 0; i < b.N; i++ {
-				res, err := exact.Synthesize(c.Tables, exact.Options{
-					MaxGates:   3,
-					TimeBudget: time.Minute,
-				})
-				switch err {
-				case nil:
-					gates = float64(res.Gates)
-					garbage = float64(res.Garbage)
-				case exact.ErrTimeout, exact.ErrUnsat:
-					gates, garbage = -1, -1
-				default:
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(gates, "gates")
-			b.ReportMetric(garbage, "garbage")
-		})
-	}
-}
 
 // --- Ablations -----------------------------------------------------------
 

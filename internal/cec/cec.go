@@ -56,8 +56,8 @@ type Spec struct {
 	// contexts so an unchanged stimulus is not re-copied per evaluation.
 	id  uint64
 	gen uint64
-	// genLive mirrors gen outside the lock so View snapshots can probe
-	// staleness with one atomic load instead of taking mu on every
+	// genLive mirrors gen outside the lock so Incremental snapshots can
+	// probe staleness with one atomic load instead of taking mu on every
 	// evaluation of the search hot loop.
 	genLive atomic.Uint64
 
@@ -284,26 +284,18 @@ func (s *Spec) CheckContext(ctx context.Context, n *rqfp.Netlist, sim *rqfp.SimC
 		sim = rqfp.NewSimContext(n.NumPorts(), s.words)
 	}
 	sim.RunTagged(n, s.stimulus, active, s.id, s.gen)
-	wrong := countWrong(n, sim, s.golden, s.samples, s.words)
+	// Only the valid samples count; tail is all-ones when the last word is
+	// fully populated (always true for random stimulus).
+	tail := bits.TailMask(s.samples, s.words)
+	wrong := 0
+	for i, po := range n.POs {
+		wrong += bits.XorPopcountMasked(sim.Port(po), s.golden[i], tail)
+	}
 	totalBits := s.samples * s.NumPO
 	s.mu.RUnlock()
 	v := s.finishCheck(ctx, n, wrong, totalBits, &st)
 	s.mergeStats(st)
 	return v
-}
-
-// countWrong counts the candidate's output bits disagreeing with the golden
-// responses over the first `samples` patterns of a `words`-wide stimulus.
-// The caller must hold a consistent stimulus snapshot (the lock or a View).
-func countWrong(n *rqfp.Netlist, sim *rqfp.SimContext, golden []bits.Vec, samples, words int) int {
-	// Only the valid samples count; tail is all-ones when the last word is
-	// fully populated (always true for random stimulus).
-	tail := bits.TailMask(samples, words)
-	wrong := 0
-	for i, po := range n.POs {
-		wrong += bits.XorPopcountMasked(sim.Port(po), golden[i], tail)
-	}
-	return wrong
 }
 
 // finishCheck turns a simulation screen's wrong-bit count into a Verdict,

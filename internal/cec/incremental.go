@@ -28,18 +28,36 @@ import (
 // verdicts, counterexamples and SAT verdict counts equal CheckContext's;
 // the solver counters and SATTime count the solves actually run.
 //
-// The oracle is read through a View, so the whole delta path — simulation,
-// mismatch counting, statistics — runs without touching the Spec's locks.
+// The oracle is read through a snapshot of the spec's stimulus tables and
+// the statistics accumulate in a local shard until Flush merges them, so
+// the whole delta path — simulation, mismatch counting, statistics — runs
+// without touching the Spec's locks. The snapshot is safe against
+// concurrent widening because AddCounterexample only ever appends words
+// beyond the snapshotted lengths and replaces (never mutates) the golden
+// vectors: a stale snapshot keeps reading a consistent previous stimulus
+// generation until SetParent re-takes it. Inside the search engine
+// counterexamples are learned at coordinator barriers while workers are
+// idle, so per-seed determinism holds for any worker count.
+//
 // One Incremental is owned by one goroutine, like the SimContext inside
 // it. The Spec it wraps may be shared.
 type Incremental struct {
-	view  *View
+	spec *Spec
+
+	// The stimulus snapshot: headers copied from the spec under its read
+	// lock (the backing words are immutable), taken by SetParent. gen is
+	// the stimulus generation the snapshot and the resident parent's
+	// vectors belong to; a mismatch with the spec means both are stale.
+	stimulus []bits.Vec
+	golden   []bits.Vec
+	words    int
+	samples  int
+	id, gen  uint64
+
+	stats Stats // local shard; merged into the spec by Flush
+
 	base  *rqfp.SimContext
 	delta *rqfp.DeltaSim
-
-	// gen is the stimulus generation the resident parent was simulated
-	// under; a mismatch with the spec means the base vectors are stale.
-	gen uint64
 
 	// parentWrong holds the parent's wrong-bit count per primary output
 	// (all zero when the parent satisfies the spec, as the (1+λ) engine
@@ -67,18 +85,26 @@ type Incremental struct {
 	miter   parentMiter // per-check scratch of the parent-relative proof
 }
 
-// NewIncrementalView wraps an existing View — the sharing hook for an
-// evaluator that already owns a view for its full-evaluation path, so both
-// paths feed one statistics shard and re-sync one snapshot.
-func NewIncrementalView(v *View) *Incremental {
-	return &Incremental{view: v}
+// NewIncremental returns a checker over spec with no resident parent;
+// SetParent takes the first stimulus snapshot.
+func NewIncremental(spec *Spec) *Incremental {
+	return &Incremental{spec: spec}
 }
 
 // Stale reports whether the stimulus has been widened (or the parent never
 // set) since the last SetParent, so the resident vectors no longer match
-// the oracle. The caller re-syncs with SetParent. Lock-free.
+// the oracle. The caller re-syncs with SetParent. Lock-free: one atomic
+// load.
 func (inc *Incremental) Stale() bool {
-	return inc.base == nil || inc.gen != inc.view.spec.genLive.Load()
+	return inc.base == nil || inc.gen != inc.spec.genLive.Load()
+}
+
+// Flush merges the locally accumulated oracle counters into the spec. One
+// lock acquisition per batch instead of several per evaluation; merge order
+// across workers is irrelevant because the counters only ever sum.
+func (inc *Incremental) Flush() {
+	inc.spec.mergeStats(inc.stats)
+	inc.stats = Stats{}
 }
 
 // SetParent makes parent the resident base: a full simulation of ALL gates
@@ -86,21 +112,24 @@ func (inc *Incremental) Stale() bool {
 // vectors) plus the per-output wrong-bit counts against the golden
 // responses. active is the parent's active mask (nil recomputes it).
 // proved must be true only if the parent was proved equal to the spec —
-// matching the random samples proves nothing. The view is re-synced first
-// when stale. parent and active must stay unchanged until the next
-// SetParent.
+// matching the random samples proves nothing. The stimulus snapshot is
+// re-taken first when the spec widened since the last one. parent and
+// active must stay unchanged until the next SetParent.
 func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bool) {
-	v := inc.view
-	if !v.Fresh() {
-		v.Sync()
+	s := inc.spec
+	if inc.gen != s.genLive.Load() {
+		s.mu.RLock()
+		inc.stimulus = append(inc.stimulus[:0], s.stimulus...)
+		inc.golden = append(inc.golden[:0], s.golden...)
+		inc.words, inc.samples = s.words, s.samples
+		inc.id, inc.gen = s.id, s.gen
+		s.mu.RUnlock()
 	}
-	s := v.spec
-	if inc.base == nil || inc.base.Words() != v.words {
-		inc.base = rqfp.NewSimContext(parent.NumPorts(), v.words)
+	if inc.base == nil || inc.base.Words() != inc.words {
+		inc.base = rqfp.NewSimContext(parent.NumPorts(), inc.words)
 		inc.delta = rqfp.NewDeltaSim(inc.base)
 	}
-	inc.base.RunTagged(parent, v.stimulus, nil, v.id, v.gen)
-	inc.gen = v.gen
+	inc.base.RunTagged(parent, inc.stimulus, nil, inc.id, inc.gen)
 	if active == nil {
 		active = parent.ActiveGates()
 	}
@@ -112,9 +141,9 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bo
 	inc.parentWrong = inc.parentWrong[:s.NumPO]
 	inc.poDirty = inc.poDirty[:s.NumPO]
 	inc.parentTotal = 0
-	tail := bits.TailMask(v.samples, v.words)
+	tail := bits.TailMask(inc.samples, inc.words)
 	for i, po := range parent.POs {
-		w := bits.XorPopcountMasked(inc.base.Port(po), v.golden[i], tail)
+		w := bits.XorPopcountMasked(inc.base.Port(po), inc.golden[i], tail)
 		inc.parentWrong[i] = w
 		inc.parentTotal += w
 	}
@@ -149,16 +178,15 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bo
 // falls back to the full path and re-syncs. coneGates is the number of
 // gates simulated before the verdict.
 func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGates, dirtyPOs []int32, fastRefute bool) (v Verdict, coneGates int, ok bool) {
-	view := inc.view
-	s := view.spec
+	s := inc.spec
 	if n.NumPI != s.NumPI || len(n.POs) != s.NumPO {
 		return Verdict{}, 0, true
 	}
-	if inc.Stale() || inc.gen != view.gen {
+	if inc.Stale() {
 		return Verdict{}, 0, false
 	}
-	tail := bits.TailMask(view.samples, view.words)
-	totalBits := view.samples * s.NumPO
+	tail := bits.TailMask(inc.samples, inc.words)
+	totalBits := inc.samples * s.NumPO
 	var stop []bool
 	if fastRefute && inc.parentTotal == 0 {
 		stop = inc.stop
@@ -176,8 +204,8 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 		// No output that reads a watched port in the parent changed its
 		// gene, so output i reads the port in the child too.
 		i := slices.Index(inc.parent.POs, at)
-		wrong := bits.XorPopcountMasked(inc.delta.Port(at), view.golden[i], tail)
-		return s.finishCheck(ctx, n, wrong, totalBits, &view.stats), coneGates, true
+		wrong := bits.XorPopcountMasked(inc.delta.Port(at), inc.golden[i], tail)
+		return s.finishCheck(ctx, n, wrong, totalBits, &inc.stats), coneGates, true
 	}
 	for i := range inc.poDirty {
 		inc.poDirty[i] = false
@@ -192,10 +220,10 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 		}
 		got := inc.delta.Port(po)
 		var w int
-		if fastRefute && bits.EqualMasked(got, view.golden[i], tail) {
+		if fastRefute && bits.EqualMasked(got, inc.golden[i], tail) {
 			w = 0
 		} else {
-			w = bits.XorPopcountMasked(got, view.golden[i], tail)
+			w = bits.XorPopcountMasked(got, inc.golden[i], tail)
 		}
 		wrong += w - inc.parentWrong[i]
 		if fastRefute && wrong > 0 && inc.parentTotal == 0 {
@@ -209,5 +237,5 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 	if wrong == 0 && !s.Exhaustive && inc.parentProved {
 		return inc.proveAgainstParent(ctx, n, dirtyGates, inc.costs.ActiveOnly(n)), coneGates, true
 	}
-	return s.finishCheck(ctx, n, wrong, totalBits, &view.stats), coneGates, true
+	return s.finishCheck(ctx, n, wrong, totalBits, &inc.stats), coneGates, true
 }

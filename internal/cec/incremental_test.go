@@ -37,11 +37,10 @@ func twoAndChains() (*Spec, *rqfp.Netlist) {
 func TestCheckDeltaFastRefute(t *testing.T) {
 	ctx := context.Background()
 	spec, parent := twoAndChains()
-	view := spec.NewView()
-	inc := NewIncrementalView(view)
+	inc := NewIncremental(spec)
 	inc.SetParent(parent, nil, true)
 	stats := func() Stats {
-		view.Flush()
+		inc.Flush()
 		return spec.Stats()
 	}
 

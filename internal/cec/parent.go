@@ -169,7 +169,7 @@ func (m *parentMiter) maj(x, y, z sat.Lit) sat.Lit {
 // are exactly what satCheck returns, so every trajectory stays the same.
 // One SAT verdict is recorded, with the counters of both solves.
 func (inc *Incremental) proveAgainstParent(ctx context.Context, n *rqfp.Netlist, dirtyGates []int32, active []bool) Verdict {
-	s, st := inc.view.spec, &inc.view.stats
+	s, st := inc.spec, &inc.stats
 	st.Checks++
 	start := time.Now()
 	eq, solver, err := inc.miter.prove(ctx, inc.parent, n, inc.parentActive, active, dirtyGates)

@@ -42,15 +42,14 @@ func andChain() (*Spec, *rqfp.Netlist) {
 func TestParentProofRareDivergence(t *testing.T) {
 	ctx := context.Background()
 	spec, parent := andChain()
-	view := spec.NewView()
-	if v := view.Check(ctx, parent, nil, nil); !v.Proved {
+	if v := spec.CheckContext(ctx, parent, nil, nil); !v.Proved {
 		t.Fatalf("the AND chain is not proved against its spec: %+v", v)
 	}
-	inc := NewIncrementalView(view)
+	inc := NewIncremental(spec)
 	inc.SetParent(parent, nil, true)
 	last := len(parent.Gates) - 1
 	stats := func() Stats {
-		view.Flush()
+		inc.Flush()
 		return spec.Stats()
 	}
 

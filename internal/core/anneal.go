@@ -65,10 +65,17 @@ func Anneal(initial *rqfp.Netlist, spec *cec.Spec, opt AnnealOptions) (*Result, 
 
 // AnnealContext is Anneal under an external cancellation context. The
 // annealer's proposal chain is inherently sequential, so it always runs on
-// one goroutine; it shares the Evaluator abstraction with the parallel ES
-// engine and learns counterexamples immediately (there is no batch whose
-// determinism the widening could disturb).
+// one goroutine and learns counterexamples immediately (there is no batch
+// whose determinism the widening could disturb).
 func AnnealContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, opt AnnealOptions) (*Result, error) {
+	return anneal(ctx, initial, NewSpecEvaluator(spec), opt)
+}
+
+// anneal runs the annealer on ev. The current state is ev's resident
+// parent, re-synced under a new epoch after every accepted move, and every
+// proposal is scored by EvaluateDelta on the mutation it recorded — the
+// path the (1+λ) engine scores its offspring on.
+func anneal(ctx context.Context, initial *rqfp.Netlist, ev Evaluator, opt AnnealOptions) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := initial.Validate(); err != nil {
 		return nil, err
@@ -83,26 +90,22 @@ func AnnealContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, o
 
 	res := &Result{}
 	tel := &res.Telemetry
-
-	ev := NewSpecEvaluator(spec)
-	evaluate := func(ctx context.Context, g *genotype) (Fitness, bool) {
-		out := ev.Evaluate(ctx, g.net)
-		if out.Aborted {
-			return Fitness{}, true
-		}
-		tel.Evaluations++
+	// record counts a completed evaluation and learns its counterexample.
+	record := func(out Outcome) Fitness {
+		tel.count(out)
 		if out.Counterexample != nil {
 			ev.Learn(out.Counterexample)
 		}
-		return out.Fitness, false
+		return out.Fitness
 	}
 
 	cur := newGenotype(initial.Clone())
 	cur.stats = &tel.Mutations
-	curFit, _ := evaluate(context.Background(), cur)
+	curFit := record(ev.Evaluate(context.Background(), cur.net))
 	if !curFit.Valid {
 		return nil, errors.New("core: initial netlist does not satisfy the specification")
 	}
+	epoch := uint64(1)
 	best := cur.clone()
 	bestFit := curFit
 
@@ -116,13 +119,15 @@ func AnnealContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, o
 			break
 		}
 		temp := opt.StartTemp * (1 - float64(step)/float64(opt.Steps))
+		ev.SyncParent(epoch, cur.net, curFit)
 		scratch.copyFrom(cur)
 		scratch.mutate(r, opt.MutationRate)
-		fit, aborted := evaluate(ctx, scratch)
-		if aborted {
+		out := ev.EvaluateDelta(ctx, scratch.net, Delta{Gates: scratch.dirtyGates, POs: scratch.dirtyPOs})
+		if out.Aborted {
 			reason = stopFromCtx(ctx)
 			break
 		}
+		fit := record(out)
 		if !fit.Valid {
 			continue
 		}
@@ -130,6 +135,7 @@ func AnnealContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, o
 		if delta <= 0 || (temp > 0 && r.Float64() < math.Exp(-delta/temp)) {
 			cur, scratch = scratch, cur
 			curFit = fit
+			epoch++
 			tel.Adoptions++
 			if delta == 0 {
 				tel.NeutralAdoptions++
@@ -151,7 +157,7 @@ func AnnealContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, o
 		}
 	}
 
-	// Publish the oracle counters the evaluator buffered in its view shard.
+	// Publish the oracle counters the evaluator buffered in its shard.
 	ev.FlushStats()
 
 	res.Best = best.net.Shrink()

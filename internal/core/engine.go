@@ -57,16 +57,9 @@ type engine struct {
 	parent    *genotype
 	parentFit Fitness
 	// parentEpoch identifies the current parent individual; it is bumped on
-	// every adoption and accepted migration so worker-local DeltaEvaluators
+	// every adoption and accepted migration so worker-local evaluators
 	// know when their resident parent simulation is out of date.
 	parentEpoch uint64
-	// incremental is true when the evaluator supports delta evaluation
-	// (SpecEvaluator does): offspring whose phenotype provably equals the
-	// parent's inherit its fitness without simulation, and all others are
-	// scored by re-simulating only the fan-out cone of the mutated genes
-	// against the parent's resident port vectors. The trajectory is
-	// bit-identical per seed to scoring every offspring with Evaluate.
-	incremental bool
 
 	slots []*evalSlot
 	// starts carries one wakeup per worker per generation; worker w then
@@ -116,11 +109,9 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 	if opt.FlightEvery > 0 {
 		e.flight = newFlightRing(opt.FlightCap)
 	}
-	_, e.incremental = ev.(DeltaEvaluator)
 	e.parent = initial
 	out := ev.Evaluate(context.Background(), e.parent.net)
-	e.tel.Evaluations++
-	e.tel.FullEvals++
+	e.tel.count(out)
 	if !out.Fitness.Valid {
 		return nil, errors.New("core: initial netlist does not satisfy the specification")
 	}
@@ -140,16 +131,13 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			e.hists[w] = opt.Metrics.Histogram(e.histName(w))
 			e.shards[w] = new(obs.HistShard)
 		}
-		if e.incremental {
-			// cgp.cone_gates observes, per incremental evaluation, the
-			// gates simulated before the verdict, inactive cone gates
-			// included.
-			name := "cgp.cone_gates"
-			if island >= 0 {
-				name = fmt.Sprintf("cgp.cone_gates.island_%d", island)
-			}
-			e.coneHist = opt.Metrics.Histogram(name)
+		// cgp.cone_gates observes, per incremental evaluation, the gates
+		// simulated before the verdict, inactive cone gates included.
+		name := "cgp.cone_gates"
+		if island >= 0 {
+			name = fmt.Sprintf("cgp.cone_gates.island_%d", island)
 		}
+		e.coneHist = opt.Metrics.Histogram(name)
 		if island < 0 {
 			// Island engines share one scope; only a single-population run
 			// owns the live search gauges.
@@ -169,17 +157,7 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			go e.worker(w, e.starts[w], ev.Fork())
 		}
 	}
-	e.flushRoot()
 	return e, nil
-}
-
-// flushRoot publishes the root evaluator's buffered oracle statistics, so
-// Spec.Stats reads taken after a run (or after the initial evaluation) see
-// complete totals.
-func (e *engine) flushRoot() {
-	if f, ok := e.eval.(StatsFlusher); ok {
-		f.FlushStats()
-	}
 }
 
 func (e *engine) histName(w int) string {
@@ -197,7 +175,9 @@ func (e *engine) close() {
 		}
 		e.starts = nil
 	}
-	e.flushRoot()
+	// Publish the root evaluator's buffered oracle statistics, so Spec.Stats
+	// reads taken after a run see complete totals.
+	e.eval.FlushStats()
 }
 
 // worker evaluates its static slot range once per wakeup on start. Everything
@@ -208,32 +188,25 @@ func (e *engine) close() {
 // clears, possibly before the worker goroutine first runs.
 func (e *engine) worker(w int, start <-chan struct{}, ev Evaluator) {
 	lo, hi := e.batches[w][0], e.batches[w][1]
-	flusher, _ := ev.(StatsFlusher)
 	for range start {
 		e.runBatch(lo, hi, ev, e.shards[w])
 		if e.shards[w] != nil {
 			e.hists[w].Drain(e.shards[w])
 		}
-		if flusher != nil {
-			flusher.FlushStats()
-		}
+		ev.FlushStats()
 		e.wg.Done()
 	}
 }
 
-// runBatch mutates and evaluates slots [lo, hi) on ev. The incremental
-// parent re-sync is hoisted to the top of the batch — the parent is frozen
-// for the whole generation, so once per batch is exactly as often as it can
-// change. A cancellation mid-batch marks the remaining slots aborted
-// without evaluating them; the reducer abandons the generation either way.
+// runBatch mutates and evaluates slots [lo, hi) on ev. The parent re-sync
+// is hoisted to the top of the batch — the parent is frozen for the whole
+// generation, so once per batch is exactly as often as it can change. A
+// cancellation mid-batch marks the remaining slots aborted without
+// evaluating them; the reducer abandons the generation either way.
 func (e *engine) runBatch(lo, hi int, ev Evaluator, shard *obs.HistShard) {
-	var dev DeltaEvaluator
-	if e.incremental {
-		dev = ev.(DeltaEvaluator)
-		dev.SyncParent(e.parentEpoch, e.parent.net, e.parentFit)
-	}
+	ev.SyncParent(e.parentEpoch, e.parent.net, e.parentFit)
 	for i := lo; i < hi; i++ {
-		if !e.runSlot(i, ev, dev, shard) {
+		if !e.runSlot(i, ev, shard) {
 			for j := i + 1; j < hi; j++ {
 				e.slots[j].out = Outcome{Aborted: true}
 				e.slots[j].done = false
@@ -247,7 +220,7 @@ func (e *engine) runBatch(lo, hi int, ev Evaluator, shard *obs.HistShard) {
 // when the evaluation was aborted by cancellation. All inputs (parent,
 // seed) were published by the coordinator before dispatch; all outputs stay
 // inside the slot until the reducer reads them.
-func (e *engine) runSlot(i int, ev Evaluator, dev DeltaEvaluator, shard *obs.HistShard) bool {
+func (e *engine) runSlot(i int, ev Evaluator, shard *obs.HistShard) bool {
 	s := e.slots[i]
 	s.done = false
 	if e.ctx.Err() != nil {
@@ -261,11 +234,7 @@ func (e *engine) runSlot(i int, ev Evaluator, dev DeltaEvaluator, shard *obs.His
 	if shard != nil {
 		start = time.Now()
 	}
-	if dev != nil {
-		s.out = dev.EvaluateDelta(e.ctx, s.g.net, Delta{Gates: s.g.dirtyGates, POs: s.g.dirtyPOs})
-	} else {
-		s.out = ev.Evaluate(e.ctx, s.g.net)
-	}
+	s.out = ev.EvaluateDelta(e.ctx, s.g.net, Delta{Gates: s.g.dirtyGates, POs: s.g.dirtyPOs})
 	if shard != nil {
 		shard.Observe(time.Since(start))
 	}
@@ -308,7 +277,7 @@ func (e *engine) run(ctx context.Context, gens int) StopReason {
 			if e.shards[0] != nil {
 				e.hists[0].Drain(e.shards[0])
 			}
-			e.flushRoot()
+			e.eval.FlushStats()
 		}
 
 		// Reduce in offspring-index order: this fixes the order of
@@ -326,20 +295,11 @@ func (e *engine) run(ctx context.Context, gens int) StopReason {
 				}
 				continue
 			}
-			e.tel.Evaluations++
-			switch {
-			case s.out.Dedup:
-				e.tel.DedupSkips++
-			case s.out.Incremental:
-				e.tel.IncrementalEvals++
-				e.tel.ConeGates += int64(s.out.ConeGates)
-				if e.coneHist != nil {
-					// The histogram's unit is nanoseconds elsewhere; here a
-					// "duration" of n ns encodes a cone of n gates.
-					e.coneHist.Observe(time.Duration(s.out.ConeGates))
-				}
-			default:
-				e.tel.FullEvals++
+			e.tel.count(s.out)
+			if s.out.Incremental && e.coneHist != nil {
+				// The histogram's unit is nanoseconds elsewhere; here a
+				// "duration" of n ns encodes a cone of n gates.
+				e.coneHist.Observe(time.Duration(s.out.ConeGates))
 			}
 			if s.out.Counterexample != nil {
 				e.learn(s.out.Counterexample)

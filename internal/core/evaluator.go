@@ -37,57 +37,42 @@ type Delta struct {
 	POs   []int32
 }
 
-// Evaluator scores candidate netlists. One Evaluator instance is owned by
-// exactly one goroutine (it carries mutable scratch buffers); Fork derives
-// an independent instance sharing the same underlying oracle for another
-// worker. Learn feeds a counterexample from a previous Outcome back into
-// the shared oracle and must only be called from the engine's reducer, so
-// stimulus widening stays ordered and deterministic.
+// Evaluator scores candidate netlists for a search engine. Evaluate
+// scores the initial parent in full; every offspring after it is scored by
+// EvaluateDelta against the resident parent that SyncParent made current
+// (epoch identifies the engine's current parent, so an instance can
+// cheaply detect adoption and migration). EvaluateDelta must return the
+// Fitness Evaluate would for every candidate the engine can adopt; the
+// only permitted divergence is an approximate Match on refuted (invalid)
+// candidates, which a valid parent never adopts.
+//
+// One instance is owned by exactly one goroutine (it carries mutable
+// scratch buffers); Fork derives an independent instance sharing the same
+// underlying oracle for another worker. Learn feeds a counterexample from
+// a previous Outcome back into the shared oracle and must only be called
+// from the goroutine that drives the search (the engine's reducer), so
+// stimulus widening stays ordered and deterministic. FlushStats publishes the oracle statistics an instance
+// buffers locally; the engine calls it at batch boundaries and when a run
+// finishes, so the oracle's totals are complete whenever anything reads
+// them, while the per-candidate hot path never takes the oracle's lock.
 type Evaluator interface {
 	Evaluate(ctx context.Context, n *rqfp.Netlist) Outcome
-	Fork() Evaluator
-	Learn(cex []bool)
-}
-
-// DeltaEvaluator extends Evaluator with incremental scoring of mutated
-// offspring. SyncParent makes a parent resident (epoch identifies the
-// engine's current parent so workers can cheaply detect adoption and
-// migration); EvaluateDelta scores a candidate that shares the parent's
-// shape, given the gates and POs whose genes changed. Implementations must
-// return bit-identical Fitness to Evaluate for every candidate the engine
-// can adopt; the only permitted divergence is an approximate Match on
-// refuted (invalid) candidates when the implementation runs in fast-refute
-// mode, which a valid parent never adopts.
-type DeltaEvaluator interface {
-	Evaluator
 	SyncParent(epoch uint64, parent *rqfp.Netlist, fit Fitness)
 	EvaluateDelta(ctx context.Context, n *rqfp.Netlist, delta Delta) Outcome
-}
-
-// StatsFlusher is implemented by evaluators that buffer shared-oracle
-// statistics in per-goroutine shards. The engine calls FlushStats at batch
-// boundaries (and once when a run finishes) so the oracle's totals are
-// complete whenever the coordinator — or anything downstream of it — reads
-// them, while the per-candidate hot path never takes the oracle's stats
-// lock.
-type StatsFlusher interface {
+	Fork() Evaluator
+	Learn(cex []bool)
 	FlushStats()
 }
 
-// SpecEvaluator evaluates candidates against a cec.Spec: cost extraction on
-// the active cone, then the oracle's simulation screen plus proof. The
-// scratch simulation context and cost evaluator are reused across calls so
-// the hot loop stays allocation-free.
-//
-// The oracle is read through a private cec.View — a per-goroutine snapshot
-// of the stimulus tables plus a local statistics shard — so concurrent
-// forked evaluators share no locks on the evaluation path. The view
-// re-syncs itself when the oracle widens its stimulus, and its buffered
+// SpecEvaluator evaluates candidates against a cec.Spec: the oracle's
+// simulation screen plus proof, then cost extraction on the active cone of
+// a candidate that proves equivalent. Offspring go through a private
+// cec.Incremental — a per-goroutine stimulus snapshot, the resident
+// parent's port vectors and a local statistics shard — so concurrent
+// forked evaluators share no locks on the evaluation path; its buffered
 // counters reach the Spec on FlushStats.
 type SpecEvaluator struct {
 	spec  *cec.Spec
-	view  *cec.View
-	sim   *rqfp.SimContext
 	costs rqfp.CostEvaluator
 
 	// Exact disables the fast-refute early exit in EvaluateDelta, making
@@ -120,62 +105,44 @@ func (e *SpecEvaluator) Fork() Evaluator {
 // Learn folds a counterexample into the oracle's stimulus.
 func (e *SpecEvaluator) Learn(cex []bool) { e.spec.AddCounterexample(cex) }
 
-// FlushStats merges the view's locally buffered oracle counters into the
-// shared Spec. Called by the engine at batch boundaries; cheap (one mutex
-// acquisition, a no-op on an empty shard).
+// FlushStats merges the locally buffered oracle counters into the shared
+// Spec. Cheap: one mutex acquisition, a no-op on an empty shard.
 func (e *SpecEvaluator) FlushStats() {
-	if e.view != nil {
-		e.view.Flush()
+	if e.inc != nil {
+		e.inc.Flush()
 	}
 }
 
-// ensureView lazily snapshots the oracle and re-syncs a stale snapshot.
-func (e *SpecEvaluator) ensureView() *cec.View {
-	if e.view == nil {
-		e.view = e.spec.NewView()
-	} else if !e.view.Fresh() {
-		e.view.Sync()
-	}
-	return e.view
-}
-
-// Evaluate scores one candidate. Safe to call concurrently on distinct
-// (forked) evaluators.
+// Evaluate scores one candidate in full with a one-shot Spec.CheckContext:
+// the initial parent, and the reference the differential tests hold the
+// delta path to. Safe to call concurrently on distinct (forked) evaluators.
 func (e *SpecEvaluator) Evaluate(ctx context.Context, n *rqfp.Netlist) Outcome {
 	if ctx.Err() != nil {
 		return Outcome{Aborted: true}
 	}
-	v := e.ensureView()
-	if words := v.Words(); e.sim == nil || e.sim.Words() != words {
-		// The oracle widened its stimulus with a counterexample.
-		e.sim = rqfp.NewSimContext(n.NumPorts(), words)
-	}
 	c := e.costs.Eval(n)
-	verdict := v.Check(ctx, n, e.sim, e.costs.Active())
-	out := Outcome{Counterexample: verdict.Counterexample, Aborted: verdict.Aborted}
-	if verdict.Proved {
-		out.Fitness = Fitness{
-			Valid:   true,
-			Match:   1,
-			Gates:   c.Gates,
-			Garbage: c.Garbage,
-			Buffers: c.Buffers,
-		}
-	} else {
-		out.Fitness = Fitness{Match: verdict.Match}
+	v := e.spec.CheckContext(ctx, n, nil, e.costs.Active())
+	return Outcome{Fitness: fitnessOf(v, c), Counterexample: v.Counterexample, Aborted: v.Aborted}
+}
+
+// fitnessOf turns an oracle verdict into a fitness; c is read only when
+// the candidate is proved.
+func fitnessOf(v cec.Verdict, c rqfp.Costs) Fitness {
+	if !v.Proved {
+		return Fitness{Match: v.Match}
 	}
-	return out
+	return Fitness{Valid: true, Match: 1, Gates: c.Gates, Garbage: c.Garbage, Buffers: c.Buffers}
 }
 
 // SyncParent makes parent resident for incremental evaluation. The engine
-// calls it at the start of every offspring batch with its current parent
-// epoch; the (re-)simulation only happens when the epoch moved (adoption,
-// migration) or the oracle widened its stimulus since the last sync.
+// calls it at the start of every offspring batch, and the annealer before
+// every proposal, with the current parent epoch; the (re-)simulation only
+// happens when the epoch moved (adoption, migration) or the oracle widened
+// its stimulus since the last sync. The parent's costs are already in fit,
+// so only its active mask is computed.
 func (e *SpecEvaluator) SyncParent(epoch uint64, parent *rqfp.Netlist, fit Fitness) {
 	if e.inc == nil {
-		// Share the full-path view, so both evaluation paths feed one
-		// statistics shard and re-sync one snapshot.
-		e.inc = cec.NewIncrementalView(e.ensureView())
+		e.inc = cec.NewIncremental(e.spec)
 	}
 	if epoch == e.parentEpoch && e.parent == parent && !e.inc.Stale() {
 		return
@@ -183,8 +150,7 @@ func (e *SpecEvaluator) SyncParent(epoch uint64, parent *rqfp.Netlist, fit Fitne
 	e.parent = parent
 	e.parentFit = fit
 	e.parentEpoch = epoch
-	e.costs.Eval(parent)
-	e.parentActive = append(e.parentActive[:0], e.costs.Active()...)
+	e.parentActive = append(e.parentActive[:0], e.costs.ActiveOnly(parent)...)
 	// A valid fitness means the parent was proved equal to the spec.
 	e.inc.SetParent(parent, e.parentActive, fit.Valid)
 }
@@ -220,7 +186,7 @@ func (e *SpecEvaluator) sameAsParent(n *rqfp.Netlist, delta Delta) bool {
 // identical to the parent's (in which case the parent's fitness is
 // inherited outright — identical active cone and POs imply identical
 // verdict and identical cost metrics). Falls back to the full Evaluate
-// path when the resident parent is stale.
+// path when no parent is resident or it is stale.
 func (e *SpecEvaluator) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, delta Delta) Outcome {
 	if ctx.Err() != nil {
 		return Outcome{Aborted: true}
@@ -237,23 +203,15 @@ func (e *SpecEvaluator) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, delt
 	if !ok {
 		return e.Evaluate(ctx, n)
 	}
-	out := Outcome{
+	var c rqfp.Costs
+	if v.Proved {
+		c = e.costs.Eval(n)
+	}
+	return Outcome{
+		Fitness:        fitnessOf(v, c),
 		Counterexample: v.Counterexample,
 		Aborted:        v.Aborted,
 		Incremental:    true,
 		ConeGates:      cone,
 	}
-	if v.Proved {
-		c := e.costs.Eval(n)
-		out.Fitness = Fitness{
-			Valid:   true,
-			Match:   1,
-			Gates:   c.Gates,
-			Garbage: c.Garbage,
-			Buffers: c.Buffers,
-		}
-	} else {
-		out.Fitness = Fitness{Match: v.Match}
-	}
-	return out
 }

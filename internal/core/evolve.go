@@ -189,13 +189,11 @@ func Optimize(initial *rqfp.Netlist, spec *cec.Spec, opt Options) (*Result, erro
 // returns the best individual found so far, with Telemetry.StopReason
 // explaining the interruption.
 func OptimizeContext(ctx context.Context, initial *rqfp.Netlist, spec *cec.Spec, opt Options) (*Result, error) {
-	return OptimizeWithEvaluator(ctx, initial, NewSpecEvaluator(spec), opt)
+	return optimize(ctx, initial, NewSpecEvaluator(spec), opt)
 }
 
-// OptimizeWithEvaluator runs the (1+λ) engine against a pluggable fitness
-// evaluator — the extension point for alternative oracles and future
-// sharded or batched evaluation backends.
-func OptimizeWithEvaluator(ctx context.Context, initial *rqfp.Netlist, ev Evaluator, opt Options) (*Result, error) {
+// optimize runs the (1+λ) engine, or the island model, on ev.
+func optimize(ctx context.Context, initial *rqfp.Netlist, ev Evaluator, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := initial.Validate(); err != nil {
 		return nil, err

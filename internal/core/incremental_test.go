@@ -15,30 +15,36 @@ import (
 // parents — and therefore the final netlist, fitness, and every
 // deterministic counter except the full/incremental/dedup split — is
 // bit-identical to the full reference path. These tests are the
-// differential gate for that contract: the production engine (which takes
-// the delta path for every SpecEvaluator) against fullPath, which scores
-// every offspring with SpecEvaluator.Evaluate.
+// differential gate for that contract: every engine (the (1+λ) engine,
+// its islands, and the annealer) with the production SpecEvaluator
+// against fullPath, which scores every candidate with
+// SpecEvaluator.Evaluate.
 
-// fullPath hides EvaluateDelta and SyncParent from the engine, so every
-// offspring goes through the full reference SpecEvaluator.Evaluate path.
-type fullPath struct{ ev *SpecEvaluator }
+// fullPath is the reference evaluator: it implements Evaluator by ignoring
+// the delta, so every candidate goes through the full
+// SpecEvaluator.Evaluate.
+type fullPath struct{ *SpecEvaluator }
 
-func (f fullPath) Evaluate(ctx context.Context, n *rqfp.Netlist) Outcome {
-	return f.ev.Evaluate(ctx, n)
+func (fullPath) SyncParent(uint64, *rqfp.Netlist, Fitness) {}
+func (f fullPath) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, _ Delta) Outcome {
+	return f.Evaluate(ctx, n)
 }
-func (f fullPath) Fork() Evaluator  { return fullPath{f.ev.Fork().(*SpecEvaluator)} }
-func (f fullPath) Learn(cex []bool) { f.ev.Learn(cex) }
-func (f fullPath) FlushStats()      { f.ev.FlushStats() }
+func (f fullPath) Fork() Evaluator { return fullPath{f.SpecEvaluator.Fork().(*SpecEvaluator)} }
+
+// evaluatorFor returns the production evaluator on spec, or the full-path
+// reference when full is set.
+func evaluatorFor(spec *cec.Spec, full bool) Evaluator {
+	if full {
+		return fullPath{NewSpecEvaluator(spec)}
+	}
+	return NewSpecEvaluator(spec)
+}
 
 // optimizeWith runs the engine on n against spec with the production
 // evaluator, or with the full-path reference when full is set.
 func optimizeWith(t *testing.T, n *rqfp.Netlist, spec *cec.Spec, full bool, opt Options) *Result {
 	t.Helper()
-	var ev Evaluator = NewSpecEvaluator(spec)
-	if full {
-		ev = fullPath{NewSpecEvaluator(spec)}
-	}
-	res, err := OptimizeWithEvaluator(context.Background(), n, ev, opt)
+	res, err := optimize(context.Background(), n, evaluatorFor(spec, full), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +118,75 @@ func TestIncrementalMatchesFullAdder(t *testing.T) {
 	assertSameTrajectory(t, full, inc, "full_adder")
 }
 
+// TestAnnealMatchesFullPath holds the annealer to the same contract: the
+// production evaluator against the full-path reference on two exhaustive
+// specs and on the 16-input comparator, where offspring that survive
+// simulation are proved against their parent on the delta side and
+// against the spec on the reference side, and refutations widen the
+// stimulus mid-run.
+func TestAnnealMatchesFullPath(t *testing.T) {
+	for _, c := range []struct {
+		label string
+		build func() (*cec.Spec, *rqfp.Netlist)
+		opt   AnnealOptions
+	}{
+		{"decoder", func() (*cec.Spec, *rqfp.Netlist) { return buildCase(decoderTables()) },
+			AnnealOptions{Steps: 6000, MutationRate: 0.15, Seed: 1}},
+		{"full_adder", func() (*cec.Spec, *rqfp.Netlist) { return buildCase(fullAdderTables()) },
+			AnnealOptions{Steps: 6000, MutationRate: 0.15, Seed: 3}},
+		{"comparator", buildComparatorCase,
+			AnnealOptions{Steps: 1500, MutationRate: 0.01, Seed: 5}},
+	} {
+		var res [2]*Result
+		var stats [2]cec.Stats
+		for i, full := range []bool{true, false} {
+			spec, n := c.build()
+			r, err := anneal(context.Background(), n, evaluatorFor(spec, full), c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i], stats[i] = r, spec.Stats()
+		}
+		assertSameTrajectory(t, res[0], res[1], c.label)
+		assertSplit(t, res[1], c.label)
+		if full := res[1].Telemetry.FullEvals; full != 1 {
+			t.Fatalf("%s: %d full evaluations, want only the initial state's", c.label, full)
+		}
+		ref, got := stats[0], stats[1]
+		if got.SimRefuted != ref.SimRefuted || got.SATRefuted != ref.SATRefuted || got.Counterexamples != ref.Counterexamples {
+			t.Fatalf("%s: oracle refutations diverged:\nfull        %+v\nincremental %+v", c.label, ref, got)
+		}
+		if c.label == "comparator" && got.Counterexamples == 0 {
+			t.Fatalf("%s: no counterexample was learned, so the re-sync after a widening went untested", c.label)
+		}
+		t.Logf("%s: evals=%d dedup=%d incremental=%d checks %d -> %d, counterexamples %d",
+			c.label, res[1].Evaluations, res[1].Telemetry.DedupSkips, res[1].Telemetry.IncrementalEvals,
+			ref.Checks, got.Checks, got.Counterexamples)
+	}
+}
+
+// assertSplit checks that the dedup / incremental / full split of a
+// production run adds up to Evaluations, and that the delta path served
+// offspring.
+func assertSplit(t *testing.T, res *Result, label string) {
+	t.Helper()
+	tel := res.Telemetry
+	if got := tel.DedupSkips + tel.IncrementalEvals + tel.FullEvals; got != tel.Evaluations {
+		t.Fatalf("%s: split %d+%d+%d = %d != Evaluations %d", label,
+			tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals, got, tel.Evaluations)
+	}
+	if tel.IncrementalEvals == 0 {
+		t.Fatalf("%s: the delta path served no evaluation", label)
+	}
+}
+
 // TestIncrementalTelemetrySplit pins the evaluation-path split: the
 // default engine's three counters add up to Evaluations, and the full-path
 // reference reports every evaluation as full.
 func TestIncrementalTelemetrySplit(t *testing.T) {
 	inc := runMode(t, decoderTables(), false, 1, 1, 42)
+	assertSplit(t, inc, "cgp")
 	tel := inc.Telemetry
-	if got := tel.DedupSkips + tel.IncrementalEvals + tel.FullEvals; got != tel.Evaluations {
-		t.Fatalf("split %d+%d+%d = %d != Evaluations %d",
-			tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals, got, tel.Evaluations)
-	}
-	if tel.IncrementalEvals == 0 {
-		t.Fatal("the default engine never took the delta path")
-	}
 	if tel.DedupSkips == 0 {
 		t.Fatal("no offspring was ever deduplicated against its parent (expected for no-op and inactive-gene mutations)")
 	}

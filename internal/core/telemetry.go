@@ -112,10 +112,10 @@ type Telemetry struct {
 	Migrations         int64
 	MigrationsAccepted int64
 	// DedupSkips, IncrementalEvals, and FullEvals split Evaluations by how
-	// the engine scored each offspring: inherited from the parent because
+	// the engine scored each candidate: inherited from the parent because
 	// the phenotype is identical, scored by dirty-cone re-simulation, or
-	// scored by the full reference path (the initial parent, stale-parent
-	// fallbacks, and evaluators that are not DeltaEvaluators). Evaluations
+	// scored in full by Evaluator.Evaluate (each run's initial parent, and
+	// a fallback when the resident parent is missing or stale). Evaluations
 	// counts all three, so the counter — and checkpoint/resume arithmetic —
 	// is path-independent.
 	DedupSkips       int64
@@ -129,6 +129,21 @@ type Telemetry struct {
 	ConeGates int64
 	// StopReason records why the run terminated.
 	StopReason StopReason
+}
+
+// count adds one completed evaluation to Evaluations and to its share of
+// the dedup / incremental / full split.
+func (t *Telemetry) count(out Outcome) {
+	t.Evaluations++
+	switch {
+	case out.Dedup:
+		t.DedupSkips++
+	case out.Incremental:
+		t.IncrementalEvals++
+		t.ConeGates += int64(out.ConeGates)
+	default:
+		t.FullEvals++
+	}
 }
 
 // Add accumulates o into t, for merging the phases of a hybrid run or the

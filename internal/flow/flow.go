@@ -271,7 +271,9 @@ func (p *pipeline) stages(spec *aig.AIG, opt Options) ([]stage, error) {
 
 // search is the flow.cgp stage. Anneal runs gens·λ steps; hybrid spends
 // half the generations (and half of any time budget) on CGP, then anneals
-// its best for gens·λ/2 steps.
+// its best for gens·λ/2 steps. The engines read a budget of 0 as "use the
+// default", so a CGP half of 0 generations is skipped, and annealing gets
+// at least one step.
 func (p *pipeline) search(ctx context.Context, engine string) error {
 	o := p.cgp
 	lambda := o.Lambda
@@ -300,16 +302,20 @@ func (p *pipeline) search(ctx context.Context, engine string) error {
 	case "hybrid":
 		half := o
 		half.Generations = gens / 2
-		anneal.Steps /= 2
+		anneal.Steps = max(anneal.Steps/2, 1)
 		if o.TimeBudget > 0 {
 			half.TimeBudget = o.TimeBudget / 2
 			anneal.TimeBudget = o.TimeBudget / 2
 		}
 		var first *core.Result
-		if first, err = core.OptimizeContext(ctx, r.Final, r.Spec, half); err != nil {
-			return err
+		from := r.Final
+		if half.Generations > 0 {
+			if first, err = core.OptimizeContext(ctx, r.Final, r.Spec, half); err != nil {
+				return err
+			}
+			from = first.Best
 		}
-		if res, err = core.AnnealContext(ctx, first.Best, r.Spec, anneal); err == nil {
+		if res, err = core.AnnealContext(ctx, from, r.Spec, anneal); err == nil {
 			res.Merge(first)
 		}
 	default:

@@ -139,6 +139,13 @@ func TestOptimizerVariants(t *testing.T) {
 				t.Fatalf("%s: output %d wrong", optName, i)
 			}
 		}
+		// Every engine scores its offspring on the delta path, so the
+		// dedup / incremental / full split covers every evaluation.
+		tel := res.CGP.Telemetry
+		if got := tel.DedupSkips + tel.IncrementalEvals + tel.FullEvals; got != tel.Evaluations || tel.IncrementalEvals == 0 {
+			t.Fatalf("%s: split %d+%d+%d of %d evaluations", optName,
+				tel.DedupSkips, tel.IncrementalEvals, tel.FullEvals, tel.Evaluations)
+		}
 		t.Logf("%-7s n_r=%d n_g=%d", optName, res.FinalStats.Gates, res.FinalStats.Garbage)
 	}
 	if _, err := RunTables(c.Tables, Options{Optimizer: "bogus"}); err == nil {
@@ -257,6 +264,34 @@ func TestSkipCGPStageTimes(t *testing.T) {
 	}
 	if res.CEC.Checks == 0 {
 		t.Fatal("initialization check not counted")
+	}
+}
+
+// TestHybridTinyBudget checks that a hybrid CGP half whose share of a
+// tiny budget rounds to 0 generations is skipped, not run at the engine's
+// 20,000-generation default: each half that runs adds one evaluation of
+// its initial netlist to its generations·λ or steps.
+func TestHybridTinyBudget(t *testing.T) {
+	c := bench.Mux4()
+	for _, tc := range []struct {
+		gens, lambda int
+		want         int64
+	}{
+		{1, 4, 3},  // no CGP, 2 annealing steps
+		{1, 1, 2},  // no CGP, 1 annealing step
+		{2, 4, 10}, // 1 generation of 4 offspring, then 4 steps
+		{3, 1, 4},  // 1 generation of 1 offspring, then 1 step
+	} {
+		res, err := RunTables(c.Tables, Options{
+			Optimizer: "hybrid",
+			CGP:       core.Options{Generations: tc.gens, Lambda: tc.lambda, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.CGP.Evaluations; got != tc.want {
+			t.Fatalf("gens %d, λ %d: %d evaluations, want %d", tc.gens, tc.lambda, got, tc.want)
+		}
 	}
 }
 

@@ -95,10 +95,10 @@ type Telemetry struct {
 	Migrations         int64
 	MigrationsAccepted int64
 	// DedupSkips, IncrementalEvals, and FullEvals split Evaluations by
-	// evaluation path: fitness inherited from a phenotype-identical parent,
-	// dirty-cone re-simulation, or the full reference path (the initial
-	// parent, and offspring whose resident parent went stale). The three
-	// sum to Evaluations.
+	// evaluation path, for every optimizer: fitness inherited from a
+	// phenotype-identical parent, dirty-cone re-simulation, or a full
+	// evaluation (each search's initial parent: one per island, two for
+	// hybrid). The three sum to Evaluations.
 	DedupSkips       int64
 	IncrementalEvals int64
 	FullEvals        int64
