@@ -2,6 +2,7 @@ package cec
 
 import (
 	"context"
+	mathbits "math/bits"
 	"slices"
 
 	"github.com/reversible-eda/rcgp/internal/bits"
@@ -14,10 +15,12 @@ import (
 // only the fan-out cone of the changed genes, recounting wrong bits only
 // for primary outputs whose value (or gene) changed and inheriting the
 // parent's per-output counts everywhere else. The verdict semantics match
-// CheckContext exactly in exact mode. Fast-refute mode ends the sweep at
-// the first wrong output when the parent matches every sample, and may
-// report an approximate (per-output lower-bounded) Match for refuted
-// candidates, but never changes a proved/refuted verdict.
+// CheckContext exactly in exact mode. Fast-refute mode, when the parent
+// matches every sample, screens in two stages: a sweep on word 0 of the
+// stimulus alone, then a full-width sweep for a candidate that passes;
+// each ends at the first wrong output. It may report an approximate
+// (per-output lower-bounded) Match for refuted candidates, but never
+// changes a proved/refuted verdict.
 //
 // When the parent is proved equal to the spec and the spec is not
 // exhaustive, an offspring that passes the screen is proved against the
@@ -162,13 +165,18 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bo
 // fastRefute trades Match precision for speed on refuted candidates. With
 // a parent that matches every sample, an output whose gene did not change
 // reads the same port as in the parent, whose base vector is the golden
-// response; so the sweep stops at the first such port that differs under
+// response; so a sweep stops at the first such port that differs under
 // the sample mask, and the candidate is refuted with a Match from that
-// output's wrong bits alone. A sweep that runs to the end screens each
-// changed output with a word-level early-exit comparison and takes the
-// full wrong-bit count only on outputs that differ. The proved/refuted
-// verdict, the oracle counters, and every Match value of non-refuted
-// candidates are unaffected.
+// output's wrong bits alone. When the stimulus is wider than one word,
+// DeltaSim.Screen first sweeps the cone on word 0 alone, which lies wholly
+// inside the sample mask: a stop there refutes the candidate with Match
+// from that output's word-0 wrong bits, and only a candidate that passes
+// goes on to the full-width sweep. One wrong sample suffices, and most
+// refuted candidates have one in word 0. A full-width sweep that runs to
+// the end screens each changed output with a word-level early-exit
+// comparison and takes the full wrong-bit count only on outputs that
+// differ. The proved/refuted verdict, the oracle counters, and every
+// Match value of non-refuted candidates are unaffected.
 //
 // A candidate that passes the screen is proved against a proved parent,
 // otherwise against the spec, with the same verdict either way. Only then
@@ -176,7 +184,8 @@ func (inc *Incremental) SetParent(parent *rqfp.Netlist, active []bool, proved bo
 //
 // ok is false when the resident parent is stale (or absent) — the caller
 // falls back to the full path and re-syncs. coneGates is the number of
-// gates simulated before the verdict.
+// gates simulated before the verdict, by the screen and any full-width
+// sweep after it.
 func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGates, dirtyPOs []int32, fastRefute bool) (v Verdict, coneGates int, ok bool) {
 	s := inc.spec
 	if n.NumPI != s.NumPI || len(n.POs) != s.NumPO {
@@ -194,11 +203,21 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 			stop[inc.parent.POs[po]] = false
 		}
 	}
-	coneGates, at, stopped := inc.delta.RunDelta(n, dirtyGates, stop, tail)
-	if stop != nil {
-		for _, po := range dirtyPOs {
-			stop[inc.parent.POs[po]] = true
+	if stop != nil && inc.words > 1 {
+		// Word 0 lies wholly inside the sample mask, so a watched port
+		// that differs there refutes the candidate, with the differing
+		// bits as its wrong bits: the base is the golden response.
+		cone, _, diff := inc.delta.Screen(n, dirtyGates, stop)
+		coneGates = cone
+		if diff != 0 {
+			inc.rewatch(dirtyPOs)
+			return s.finishCheck(ctx, n, mathbits.OnesCount64(diff), totalBits, &inc.stats), coneGates, true
 		}
+	}
+	cone, at, stopped := inc.delta.RunDelta(n, dirtyGates, stop, tail)
+	coneGates += cone
+	if stop != nil {
+		inc.rewatch(dirtyPOs)
 	}
 	if stopped {
 		// No output that reads a watched port in the parent changed its
@@ -238,4 +257,12 @@ func (inc *Incremental) CheckDelta(ctx context.Context, n *rqfp.Netlist, dirtyGa
 		return inc.proveAgainstParent(ctx, n, dirtyGates, inc.costs.ActiveOnly(n)), coneGates, true
 	}
 	return s.finishCheck(ctx, n, wrong, totalBits, &inc.stats), coneGates, true
+}
+
+// rewatch restores the stop set after a check unwatched the ports of the
+// outputs in dirtyPOs.
+func (inc *Incremental) rewatch(dirtyPOs []int32) {
+	for _, po := range dirtyPOs {
+		inc.stop[inc.parent.POs[po]] = true
+	}
 }

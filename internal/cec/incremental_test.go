@@ -28,12 +28,14 @@ func twoAndChains() (*Spec, *rqfp.Netlist) {
 }
 
 // TestCheckDeltaFastRefute checks the stop set of the fast-refute screen.
-// An offspring whose first output is wrong is refuted at that output: the
-// same verdict and oracle counters as the exact check, fewer gates
-// simulated, and a Match from the first output's wrong bits alone. An
-// offspring that moves an output to another port of the gate it read must
-// not be refuted by the old port's new value, and the check leaves the
-// stop set as the parent built it.
+// An offspring whose first output is wrong in word 0 of the stimulus is
+// refuted there by the one-word screen: the same verdict and oracle
+// counters as the exact check, fewer gates simulated, and a Match from
+// that output's word-0 wrong bits alone. An offspring wrong only beyond
+// word 0 passes the screen and is refuted by the full sweep, with the
+// output's full wrong-bit count. An offspring that moves an output to
+// another port of the gate it read must not be refuted by the old port's
+// new value, and the check leaves the stop set as the parent built it.
 func TestCheckDeltaFastRefute(t *testing.T) {
 	ctx := context.Background()
 	spec, parent := twoAndChains()
@@ -64,8 +66,9 @@ func TestCheckDeltaFastRefute(t *testing.T) {
 		t.Fatalf("fast check simulated %d gates, exact %d; want 1 and more", fastCone, exactCone)
 	}
 	// (x0 ∧ x1 ∧ x2) ∨ x3 differs from the AND of all four on 8 of the 16
-	// assignments to x0..x3: 128 of the 256 samples, of 512 output bits.
-	if want := 1 - 128.0/512; fast.Match != want || exact.Match >= fast.Match {
+	// assignments to x0..x3: 32 of the 64 samples in word 0 (x6 = x7 = 0),
+	// of 512 output bits.
+	if want := 1 - 32.0/512; fast.Match != want || exact.Match >= fast.Match {
 		t.Fatalf("fast Match %v, exact %v; want %v and an exact Match below it", fast.Match, exact.Match, want)
 	}
 	after := stats()
@@ -74,6 +77,29 @@ func TestCheckDeltaFastRefute(t *testing.T) {
 	}
 	if d1, d2 := mid.SimRefuted-before.SimRefuted, after.SimRefuted-mid.SimRefuted; d1 != 1 || d2 != 1 {
 		t.Fatalf("SimRefuted rose by %d (exact) and %d (fast), want 1 each", d1, d2)
+	}
+
+	// The second chain's last gate becomes an OR: (x4 ∧ x5 ∧ x6) ∨ x7 is
+	// wrong where x7 = 1 unless x4 ∧ x5 ∧ x6 (112 samples), and where
+	// x4 ∧ x5 ∧ x6 ∧ ¬x7 (16 samples), never in word 0. The screen passes
+	// it; the full sweep stops at the second output with its full count.
+	late := parent.Clone()
+	late.Gates[5].Cfg = rqfp.ConfigCopy
+	before = stats()
+	v, cone, ok := inc.CheckDelta(ctx, late, []int32{5}, nil, true)
+	if !ok || v.Proved || v.Counterexample != nil {
+		t.Fatalf("fast check of an offspring wrong beyond word 0: %+v ok=%v", v, ok)
+	}
+	if want := 1 - 128.0/512; v.Match != want || cone != 2 {
+		t.Fatalf("offspring wrong beyond word 0: Match %v after %d gates, want %v after 2 (screen and sweep)", v.Match, cone, want)
+	}
+	exactLate, _, _ := inc.CheckDelta(ctx, late, []int32{5}, nil, false)
+	if exactLate.Match != v.Match {
+		t.Fatalf("offspring wrong beyond word 0: fast Match %v, exact %v; want the same", v.Match, exactLate.Match)
+	}
+	if st := stats(); st.Checks-before.Checks != 2 || st.SimRefuted-before.SimRefuted != 2 {
+		t.Fatalf("two checks of an offspring wrong beyond word 0 raised Checks by %d and SimRefuted by %d, want 2 each",
+			st.Checks-before.Checks, st.SimRefuted-before.SimRefuted)
 	}
 
 	// Gate 5 swaps its AND and OR majorities, and the second output moves

@@ -120,7 +120,7 @@ func anneal(ctx context.Context, initial *rqfp.Netlist, ev Evaluator, opt Anneal
 		}
 		temp := opt.StartTemp * (1 - float64(step)/float64(opt.Steps))
 		ev.SyncParent(epoch, cur.net, curFit)
-		scratch.copyFrom(cur)
+		scratch.reset(cur, epoch)
 		scratch.mutate(r, opt.MutationRate)
 		out := ev.EvaluateDelta(ctx, scratch.net, Delta{Gates: scratch.dirtyGates, POs: scratch.dirtyPOs})
 		if out.Aborted {

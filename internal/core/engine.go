@@ -57,8 +57,10 @@ type engine struct {
 	parent    *genotype
 	parentFit Fitness
 	// parentEpoch identifies the current parent individual; it is bumped on
-	// every adoption and accepted migration so worker-local evaluators
-	// know when their resident parent simulation is out of date.
+	// every adoption (and so before a shrink) and accepted migration, so
+	// worker-local evaluators know when their resident parent simulation is
+	// out of date, and offspring slots when undoing their last mutation no
+	// longer restores the parent.
 	parentEpoch uint64
 
 	slots []*evalSlot
@@ -132,7 +134,8 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			e.shards[w] = new(obs.HistShard)
 		}
 		// cgp.cone_gates observes, per incremental evaluation, the gates
-		// simulated before the verdict, inactive cone gates included.
+		// simulated before the verdict, inactive cone gates included: the
+		// one-word screen's plus any full-width sweep's.
 		name := "cgp.cone_gates"
 		if island >= 0 {
 			name = fmt.Sprintf("cgp.cone_gates.island_%d", island)
@@ -217,9 +220,11 @@ func (e *engine) runBatch(lo, hi int, ev Evaluator, shard *obs.HistShard) {
 }
 
 // runSlot mutates and evaluates offspring i into its slot, reporting false
-// when the evaluation was aborted by cancellation. All inputs (parent,
-// seed) were published by the coordinator before dispatch; all outputs stay
-// inside the slot until the reducer reads them.
+// when the evaluation was aborted by cancellation. The slot's genotype
+// becomes the parent again by undoing its last mutation while the parent
+// epoch it was copied from lasts, and by a full copy after that. All
+// inputs (parent, seed) were published by the coordinator before dispatch;
+// all outputs stay inside the slot until the reducer reads them.
 func (e *engine) runSlot(i int, ev Evaluator, shard *obs.HistShard) bool {
 	s := e.slots[i]
 	s.done = false
@@ -228,7 +233,7 @@ func (e *engine) runSlot(i int, ev Evaluator, shard *obs.HistShard) bool {
 		return false
 	}
 	s.rng.Seed(e.seeds[i])
-	s.g.copyFrom(e.parent)
+	s.g.reset(e.parent, e.parentEpoch)
 	s.g.mutate(s.rng, e.opt.MutationRate)
 	var start time.Time
 	if shard != nil {

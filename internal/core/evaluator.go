@@ -24,7 +24,8 @@ type Outcome struct {
 	Dedup bool
 	// Incremental marks an evaluation served by dirty-cone re-simulation;
 	// ConeGates is the number of gates it simulated before the verdict,
-	// inactive cone gates included.
+	// inactive cone gates included: the one-word screen's gates plus those
+	// of any full-width sweep after it.
 	Incremental bool
 	ConeGates   int
 }
@@ -44,7 +45,9 @@ type Delta struct {
 // cheaply detect adoption and migration). EvaluateDelta must return the
 // Fitness Evaluate would for every candidate the engine can adopt; the
 // only permitted divergence is an approximate Match on refuted (invalid)
-// candidates, which a valid parent never adopts.
+// candidates, which a valid parent never adopts. SpecEvaluator uses it:
+// its two-stage screen refutes most offspring on one word of the stimulus,
+// with a Match from that word, before any full-width sweep.
 //
 // One instance is owned by exactly one goroutine (it carries mutable
 // scratch buffers); Fork derives an independent instance sharing the same
@@ -70,14 +73,18 @@ type Evaluator interface {
 // cec.Incremental — a per-goroutine stimulus snapshot, the resident
 // parent's port vectors and a local statistics shard — so concurrent
 // forked evaluators share no locks on the evaluation path; its buffered
-// counters reach the Spec on FlushStats.
+// counters reach the Spec on FlushStats. Outside Exact mode the screen
+// has two stages when the stimulus is wider than one word: the dirty cone
+// on word 0 alone, then at full width for an offspring word 0 did not
+// refute (see cec.Incremental.CheckDelta).
 type SpecEvaluator struct {
 	spec  *cec.Spec
 	costs rqfp.CostEvaluator
 
-	// Exact disables the fast-refute early exit in EvaluateDelta, making
-	// the incremental path report the same Match value as Evaluate even for
-	// refuted candidates (used by differential tests; slower).
+	// Exact disables the fast-refute early exits in EvaluateDelta, the
+	// one-word screen among them, making the incremental path report the
+	// same Match value as Evaluate even for refuted candidates (used by
+	// differential tests; slower).
 	Exact bool
 
 	// Incremental-evaluation state: the resident parent this worker last

@@ -38,8 +38,10 @@ type Options struct {
 	Workers int
 	// Islands runs that many independent (1+λ) populations, each seeded
 	// from Seed, with the best individual migrating around a ring every
-	// MigrateEvery generations. Workers are divided evenly among islands.
-	// Default 1 (no island model).
+	// MigrateEvery generations. The islands share the Workers bound:
+	// min(Workers, Islands) of them run at once, each on Workers/Islands
+	// evaluation workers when that is more than one. Default 1 (no island
+	// model).
 	Islands int
 	// MigrateEvery is the island epoch length in generations between
 	// migrations (Islands > 1 only). Default 500.

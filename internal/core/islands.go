@@ -4,19 +4,23 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/reversible-eda/rcgp/internal/rqfp"
 )
 
 // optimizeIslands runs K independent (1+λ) populations in lockstep epochs
-// of MigrateEvery generations. Between epochs the coordinator — a single
-// goroutine — applies the counterexamples the islands deferred (in island
-// order, deduplicated) and migrates each island's best individual one step
-// around a ring, accepting it only when strictly better than the local
-// parent. Island seeds derive from the master seed and every cross-island
-// interaction happens at the deterministic barrier, so the whole run is
-// reproducible per seed regardless of scheduling.
+// of MigrateEvery generations, with at most Workers offspring evaluated at
+// once: each epoch runs the islands on min(Workers, K) goroutines, and an
+// island owns Workers/K evaluation workers when that is more than one.
+// Between epochs the coordinator — a single goroutine — applies the
+// counterexamples the islands deferred (in island order, deduplicated) and
+// migrates each island's best individual one step around a ring, accepting
+// it only when strictly better than the local parent. Island seeds derive
+// from the master seed and every cross-island interaction happens at the
+// deterministic barrier, so the whole run is reproducible per seed
+// regardless of scheduling.
 func optimizeIslands(ctx context.Context, start time.Time, initial *rqfp.Netlist, ev Evaluator, opt Options) (*Result, error) {
 	k := opt.Islands
 	master := rand.New(rand.NewSource(opt.Seed))
@@ -62,15 +66,7 @@ func optimizeIslands(ctx context.Context, start time.Time, initial *rqfp.Netlist
 		if step > remaining {
 			step = remaining
 		}
-		var wg sync.WaitGroup
-		for _, e := range islands {
-			wg.Add(1)
-			go func(e *engine) {
-				defer wg.Done()
-				e.run(ctx, step)
-			}(e)
-		}
-		wg.Wait()
+		runEpoch(ctx, islands, step, min(opt.Workers, k))
 		remaining -= step
 		epoch++
 
@@ -177,6 +173,24 @@ func optimizeIslands(ctx context.Context, start time.Time, initial *rqfp.Netlist
 		})
 	}
 	return res, nil
+}
+
+// runEpoch advances every island by step generations on par goroutines,
+// which take the islands in island order. Islands meet only at the
+// barrier, so which goroutine runs an island does not change its result.
+func runEpoch(ctx context.Context, islands []*engine, step, par int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(islands)); i = next.Add(1) - 1 {
+				islands[i].run(ctx, step)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // cexKey renders a counterexample as a map key for deduplication.

@@ -19,11 +19,15 @@ type genotype struct {
 	// shared between goroutines.
 	stats *MutationStats
 	// dirtyGates/dirtyPOs record which gates and primary outputs had genes
-	// changed since the last copyFrom (duplicates allowed) — the mutation
-	// delta the incremental evaluator re-simulates. Appends reuse capacity,
-	// so recording costs nothing measurable even when unused.
+	// changed since the last copyFrom or undo (duplicates allowed) — the
+	// mutation delta the incremental evaluator re-simulates — and
+	// dirtyUsers the ports whose users entry changed. Appends reuse
+	// capacity, so recording costs nothing measurable even when unused.
 	dirtyGates []int32
 	dirtyPOs   []int32
+	dirtyUsers []rqfp.Signal
+	// epoch is the parent epoch reset last copied g from (0: none).
+	epoch uint64
 }
 
 func newGenotype(n *rqfp.Netlist) *genotype {
@@ -44,8 +48,44 @@ func (g *genotype) copyFrom(p *genotype) {
 	g.net.Gates = append(g.net.Gates[:0], p.net.Gates...)
 	g.net.POs = append(g.net.POs[:0], p.net.POs...)
 	g.users = append(g.users[:0], p.users...)
+	g.forget()
+}
+
+// undo restores from p the genes and users entries recorded since the
+// last copyFrom or undo, and resets the record. It makes g equal to p only
+// when g was p plus the recorded changes: p must be the genotype g was
+// last copied from, unchanged since.
+func (g *genotype) undo(p *genotype) {
+	for _, i := range g.dirtyGates {
+		g.net.Gates[i] = p.net.Gates[i]
+	}
+	for _, i := range g.dirtyPOs {
+		g.net.POs[i] = p.net.POs[i]
+	}
+	for _, s := range g.dirtyUsers {
+		g.users[s] = p.users[s]
+	}
+	g.forget()
+}
+
+// forget resets the recorded mutation delta.
+func (g *genotype) forget() {
 	g.dirtyGates = g.dirtyGates[:0]
 	g.dirtyPOs = g.dirtyPOs[:0]
+	g.dirtyUsers = g.dirtyUsers[:0]
+}
+
+// reset makes g a copy of p, the parent of the given epoch. An epoch is
+// one parent individual, unchanged while it lasts: while it is the epoch g
+// was last copied from, undoing g's own mutation restores p; after an
+// adoption, a shrink or a migration g is copied in full.
+func (g *genotype) reset(p *genotype, epoch uint64) {
+	if g.epoch == epoch {
+		g.undo(p)
+		return
+	}
+	g.copyFrom(p)
+	g.epoch = epoch
 }
 
 // numGenes is the chromosome length n_L = 4·n_gates + n_po (three input
@@ -138,10 +178,10 @@ func (g *genotype) rewire(old, v rqfp.Signal, self rqfp.PortUser) bool {
 	if v == rqfp.ConstPort || other.Kind == rqfp.UserNone {
 		g.setSource(self, v)
 		if v != rqfp.ConstPort {
-			g.users[v] = self
+			g.setUser(v, self)
 		}
 		if old != rqfp.ConstPort {
-			g.users[old] = rqfp.PortUser{}
+			g.setUser(old, rqfp.PortUser{})
 		}
 		return true
 	}
@@ -158,9 +198,9 @@ func (g *genotype) rewire(old, v rqfp.Signal, self rqfp.PortUser) bool {
 	case swapLegal:
 		g.setSource(self, v)
 		g.setSource(other, old)
-		g.users[v] = self
+		g.setUser(v, self)
 		if old != rqfp.ConstPort {
-			g.users[old] = other
+			g.setUser(old, other)
 		}
 		return true
 	case self.Kind == rqfp.UserPO:
@@ -168,9 +208,9 @@ func (g *genotype) rewire(old, v rqfp.Signal, self rqfp.PortUser) bool {
 		// constant, old dangles.
 		g.setSource(self, v)
 		g.setSource(other, rqfp.ConstPort)
-		g.users[v] = self
+		g.setUser(v, self)
 		if old != rqfp.ConstPort {
-			g.users[old] = rqfp.PortUser{}
+			g.setUser(old, rqfp.PortUser{})
 		}
 		return true
 	default:
@@ -190,6 +230,12 @@ func (g *genotype) setSource(u rqfp.PortUser, s rqfp.Signal) {
 		g.net.POs[u.PO] = s
 		g.dirtyPOs = append(g.dirtyPOs, u.PO)
 	}
+}
+
+// setUser records u as the user of port p, and p as a changed users entry.
+func (g *genotype) setUser(p rqfp.Signal, u rqfp.PortUser) {
+	g.users[p] = u
+	g.dirtyUsers = append(g.dirtyUsers, p)
 }
 
 // mutate applies up to maxGenes point mutations (the paper draws the

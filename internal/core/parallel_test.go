@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
@@ -276,6 +277,61 @@ func TestEngineCloseBeforeWorkersRun(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if _, err := OptimizeContext(ctx, n, spec, Options{Generations: 100, Lambda: 8, Workers: 8, Seed: int64(i)}); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// concurrencyProbe wraps the production evaluator; all forks share one
+// count of EvaluateDelta calls in flight and the most seen at once.
+type concurrencyProbe struct {
+	*SpecEvaluator
+	inFlight, peak *atomic.Int64
+}
+
+func (p concurrencyProbe) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, d Delta) Outcome {
+	now := p.inFlight.Add(1)
+	defer p.inFlight.Add(-1)
+	for old := p.peak.Load(); now > old && !p.peak.CompareAndSwap(old, now); old = p.peak.Load() {
+	}
+	runtime.Gosched() // let another goroutine's evaluation overlap this one
+	return p.SpecEvaluator.EvaluateDelta(ctx, n, d)
+}
+
+func (p concurrencyProbe) Fork() Evaluator {
+	return concurrencyProbe{p.SpecEvaluator.Fork().(*SpecEvaluator), p.inFlight, p.peak}
+}
+
+// TestIslandsRespectWorkers bounds the island model by Workers: with
+// fewer workers than islands, no more than Workers offspring are ever
+// evaluated at once, and the run evolves the same circuit with the same
+// telemetry as one with a goroutine per island.
+func TestIslandsRespectWorkers(t *testing.T) {
+	for _, c := range []struct{ islands, workers int }{{4, 1}, {3, 2}} {
+		run := func(workers int, ev Evaluator, spec *cec.Spec, n *rqfp.Netlist) *Result {
+			res, err := optimize(context.Background(), n, ev, Options{
+				Generations: 600, Lambda: 8, MutationRate: 0.15, Seed: 42,
+				Workers: workers, Islands: c.islands, MigrateEvery: 150,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		spec, n := buildCase(decoderTables())
+		var inFlight, peak atomic.Int64
+		got := run(c.workers, concurrencyProbe{NewSpecEvaluator(spec), &inFlight, &peak}, spec, n)
+		if p := peak.Load(); p > int64(c.workers) {
+			t.Fatalf("islands %d, workers %d: %d evaluations ran at once", c.islands, c.workers, p)
+		}
+		spec, n = buildCase(decoderTables())
+		want := run(c.islands, NewSpecEvaluator(spec), spec, n)
+		if got.Best.String() != want.Best.String() {
+			t.Fatalf("islands %d: workers %d evolved another circuit than workers %d", c.islands, c.workers, c.islands)
+		}
+		tg, tw := got.Telemetry, want.Telemetry
+		tg.Elapsed, tw.Elapsed = 0, 0
+		if tg != tw {
+			t.Fatalf("islands %d: telemetry diverged between workers %d and %d:\n%+v\n%+v", c.islands, c.workers, c.islands, tg, tw)
 		}
 	}
 }

@@ -123,9 +123,11 @@ type Telemetry struct {
 	FullEvals        int64
 	// ConeGates accumulates the number of gates simulated before the
 	// verdict across all incremental evaluations, inactive cone gates
-	// included; ConeGates/IncrementalEvals is the mean simulation work per
-	// evaluation (compare with the parent's gate count for the saving). A
-	// refuted offspring's sweep ends at its first wrong output.
+	// included: the one-word screen's gates plus those of any full-width
+	// sweep after it. ConeGates/IncrementalEvals is the mean simulation
+	// work per evaluation (compare with the parent's gate count for the
+	// saving). Either sweep ends at a refuted offspring's first wrong
+	// output.
 	ConeGates int64
 	// StopReason records why the run terminated.
 	StopReason StopReason

@@ -6,9 +6,15 @@ import "github.com/reversible-eda/rcgp/internal/bits"
 // a base SimContext holding the fully simulated parent. The base must have
 // been produced by a Run with active == nil (all gates simulated), so every
 // base port vector is valid and the dirty cone is exactly the fan-out of
-// the changed genes. Overlay vectors are epoch-tagged: RunDelta bumps the
+// the changed genes. Overlay vectors are epoch-tagged: each sweep bumps the
 // epoch instead of clearing marks, so back-to-back offspring of the same
 // parent reuse the storage with no per-call reset cost.
+//
+// A candidate is checked in up to two stages. Screen sweeps the cone on
+// word 0 of the stimulus alone, held in a packed plane of one word per
+// port, and stops at the first watched port whose word 0 differs from the
+// base; one wrong sample refutes a candidate, and most refuted candidates
+// show one there. RunDelta sweeps the cone at the full stimulus width.
 //
 // A DeltaSim is owned by one goroutine, like the SimContext it wraps.
 type DeltaSim struct {
@@ -22,23 +28,42 @@ type DeltaSim struct {
 	mark     []uint32 // per port: dirty in the current epoch
 	gateMark []uint32 // per gate: seed-dirty in the current epoch
 	epoch    uint32
+
+	// plane packs word 0 of every base port (plane[p] for port p) and
+	// screen is its overlay, valid where mark[p] == epoch after a Screen:
+	// a gate's three ports are adjacent words, and a screen sweep reads
+	// one word per port instead of one per stride of the stimulus width.
+	// planeRuns is the base's run count when plane was filled; the next
+	// Screen refills it once the base has been re-simulated.
+	plane, screen []uint64
+	planeRuns     uint64
+	// screened records that the current epoch's marks come from Screen,
+	// whose overlay holds word 0 only.
+	screened bool
 }
 
 // NewDeltaSim wraps base. The overlay grows lazily with the netlists that
-// RunDelta sees.
+// RunDelta sees, and the packed plane is filled by the first Screen.
 func NewDeltaSim(base *SimContext) *DeltaSim {
-	return &DeltaSim{base: base}
+	return &DeltaSim{base: base, planeRuns: base.runs - 1}
 }
 
 // Dirty reports whether signal s was recomputed — with a value different
-// from the base — by the last RunDelta.
+// from the base — by the last RunDelta. After a Screen, and until the next
+// RunDelta, it reports false for every signal: the screen's values are
+// word 0 only.
 func (d *DeltaSim) Dirty(s Signal) bool {
-	return int(s) < len(d.mark) && d.mark[s] == d.epoch
+	return !d.screened && int(s) < len(d.mark) && d.mark[s] == d.epoch
 }
 
 // Port returns the simulated vector of a signal after RunDelta: the overlay
 // value where the delta diverged from the parent, the base value elsewhere.
+// It panics after a Screen, until the next RunDelta, since no full vector
+// of the screened candidate exists.
 func (d *DeltaSim) Port(s Signal) bits.Vec {
+	if d.screened {
+		panic("rqfp: DeltaSim.Port read after Screen")
+	}
 	if d.Dirty(s) {
 		w := d.base.words
 		return bits.Vec(d.arena[int(s)*w : int(s+1)*w : int(s+1)*w])
@@ -76,6 +101,88 @@ func (d *DeltaSim) grow(numPorts, numGates int) {
 	}
 }
 
+// syncPlane refills the packed word-0 plane from the base when the base
+// has been re-simulated since the last fill.
+func (d *DeltaSim) syncPlane() {
+	if d.planeRuns == d.base.runs {
+		return
+	}
+	w, n := d.base.words, d.base.numPorts
+	if len(d.plane) < n {
+		d.plane = make([]uint64, n)
+		d.screen = make([]uint64, n)
+	}
+	for p := 0; p < n; p++ {
+		d.plane[p] = d.base.arena[p*w]
+	}
+	d.planeRuns = d.base.runs
+}
+
+// Screen simulates the candidate's dirty cone on word 0 of the stimulus
+// alone, with the cone rule of RunDelta: a gate is re-simulated when its
+// genes changed (it appears in seedGates, duplicates allowed) or when it
+// reads a port whose word 0 diverged from the base. The sweep ends at the
+// first recomputed port p with stop[p] whose word 0 differs from the base,
+// and returns that port and the bits of word 0 in which it differs; diff
+// is zero when no watched port differs in word 0. Word 0 is compared
+// whole, so the caller screens only when every bit of it is a sample.
+//
+// cone is the number of gates simulated before the sweep ended. Screen
+// leaves Dirty and Port unusable until the next RunDelta. The candidate
+// must share the parent's shape; stop must cover its ports.
+func (d *DeltaSim) Screen(n *Netlist, seedGates []int32, stop []bool) (cone int, at Signal, diff uint64) {
+	d.grow(n.NumPorts(), len(n.Gates))
+	d.syncPlane()
+	d.bump()
+	d.screened = true
+	epoch := d.epoch
+	for _, g := range seedGates {
+		d.gateMark[g] = epoch
+	}
+	par, over := d.plane, d.screen
+	for g := range n.Gates {
+		gate := &n.Gates[g]
+		in0, in1, in2 := gate.In[0], gate.In[1], gate.In[2]
+		dirty0, dirty1, dirty2 := d.mark[in0] == epoch, d.mark[in1] == epoch, d.mark[in2] == epoch
+		if d.gateMark[g] != epoch && !dirty0 && !dirty1 && !dirty2 {
+			continue
+		}
+		cone++
+		p, q, r := par[in0], par[in1], par[in2]
+		if dirty0 {
+			p = over[in0]
+		}
+		if dirty1 {
+			q = over[in1]
+		}
+		if dirty2 {
+			r = over[in2]
+		}
+		// The inversion masks of RunDelta, applied to one word.
+		c := uint64(gate.Cfg)
+		m0 := maj(p^-(c>>8&1), q^-(c>>5&1), r^-(c>>2&1))
+		m1 := maj(p^-(c>>7&1), q^-(c>>4&1), r^-(c>>1&1))
+		m2 := maj(p^-(c>>6&1), q^-(c>>3&1), r^-(c&1))
+		s := int(n.GateBase(g))
+		o, b := over[s:s+3:s+3], par[s:s+3:s+3]
+		o[0], o[1], o[2] = m0, m1, m2
+		diff0, diff1, diff2 := m0^b[0], m1^b[1], m2^b[2]
+		d.mark[s], d.mark[s+1], d.mark[s+2] = dirtyMark(diff0, epoch), dirtyMark(diff1, epoch), dirtyMark(diff2, epoch)
+		switch {
+		case diff0 != 0 && stop[s]:
+			return cone, Signal(s), diff0
+		case diff1 != 0 && stop[s+1]:
+			return cone, Signal(s + 1), diff1
+		case diff2 != 0 && stop[s+2]:
+			return cone, Signal(s + 2), diff2
+		}
+	}
+	return cone, 0, 0
+}
+
+// maj is the bitwise three-input majority.
+func maj(x, y, z uint64) uint64 { return x&y | x&z | y&z }
+
 // RunDelta simulates the candidate netlist incrementally against the
 // resident parent: a single ascending sweep re-simulates a gate when its
 // genes changed (it appears in seedGates, duplicates allowed) or when it
@@ -108,6 +215,7 @@ func (d *DeltaSim) grow(numPorts, numGates int) {
 func (d *DeltaSim) RunDelta(n *Netlist, seedGates []int32, stop []bool, tail uint64) (cone int, at Signal, stopped bool) {
 	d.grow(n.NumPorts(), len(n.Gates))
 	d.bump()
+	d.screened = false
 	epoch := d.epoch
 	for _, g := range seedGates {
 		d.gateMark[g] = epoch

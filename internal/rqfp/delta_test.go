@@ -255,12 +255,154 @@ func TestDeltaSimStopIgnoresTailBits(t *testing.T) {
 	}
 }
 
+// TestDeltaSimScreen checks the one-word screen against full simulation's
+// word 0: a gate is in the screen's cone when its genes changed or it
+// reads a port whose word 0 differs from the base, and the screen must
+// stop at the first cone port in the stop set whose word 0 differs,
+// returning the differing bits, and never for a difference beyond word 0.
+// Each trial re-simulates the base under a second parent, so the packed
+// plane must follow it, and interleaves full sweeps, which must read the
+// same as without a screen.
+func TestDeltaSimScreen(t *testing.T) {
+	var stops, passedThenStopped int
+	for _, stim := range deltaStimuli {
+		r := rand.New(rand.NewSource(47 + int64(stim)))
+		for trial := 0; trial < 40; trial++ {
+			numPI := 2 + r.Intn(6)
+			parent := looseNetlist(r, numPI, 3+r.Intn(30), 1+r.Intn(4))
+			inputs := deltaInputs(r, numPI, stim)
+			words := len(inputs[0])
+			base := NewSimContext(parent.NumPorts(), words)
+			d := NewDeltaSim(base)
+			for round := 0; round < 2; round++ {
+				if round > 0 {
+					mutateGenes(r, parent, 1+r.Intn(4))
+				}
+				base.Run(parent, inputs, nil)
+				for off := 0; off < 4; off++ {
+					cand := parent.Clone()
+					seeds := mutateGenes(r, cand, 1+r.Intn(4))
+					ref := NewSimContext(cand.NumPorts(), words)
+					ref.Run(cand, inputs, nil)
+					stop := make([]bool, cand.NumPorts())
+					for p := range stop {
+						stop[p] = r.Intn(4) == 0
+					}
+
+					// The reference screen, on word 0 of the full simulation.
+					inCone := make([]bool, len(cand.Gates))
+					for _, g := range seeds {
+						inCone[g] = true
+					}
+					word0 := func(s Signal) uint64 { return ref.Port(s)[0] ^ base.Port(s)[0] }
+					changed := func(s Signal) bool {
+						g, _, ok := cand.PortOwner(s)
+						return ok && inCone[g] && word0(s) != 0
+					}
+					wantCone, wantAt, wantDiff := 0, Signal(0), uint64(0)
+					for g := range cand.Gates {
+						for _, in := range cand.Gates[g].In {
+							inCone[g] = inCone[g] || changed(in)
+						}
+						if !inCone[g] {
+							continue
+						}
+						wantCone++
+						for m := 0; m < 3 && wantDiff == 0; m++ {
+							if p := cand.Port(g, m); stop[p] && word0(p) != 0 {
+								wantAt, wantDiff = p, word0(p)
+							}
+						}
+						if wantDiff != 0 {
+							break
+						}
+					}
+
+					cone, at, diff := d.Screen(cand, seeds, stop)
+					if cone != wantCone || at != wantAt || diff != wantDiff {
+						t.Fatalf("%d words, trial %d round %d offspring %d: Screen = (cone %d, port %d, diff %#x), want (%d, %d, %#x)",
+							words, trial, round, off, cone, at, diff, wantCone, wantAt, wantDiff)
+					}
+					for s := Signal(0); s < Signal(cand.NumPorts()); s++ {
+						if d.Dirty(s) {
+							t.Fatalf("%d words: port %d reads dirty after a screen", words, s)
+						}
+					}
+					if diff != 0 {
+						stops++
+					}
+
+					_, _, stopped := d.RunDelta(cand, seeds, stop, ^uint64(0))
+					if diff == 0 && stopped {
+						passedThenStopped++
+					}
+					if diff != 0 && !stopped {
+						t.Fatalf("%d words: the screen stopped and the full sweep did not", words)
+					}
+					d.RunDelta(cand, seeds, nil, 0)
+					for s := Signal(0); s < Signal(cand.NumPorts()); s++ {
+						if !d.Port(s).Eq(ref.Port(s)) {
+							t.Fatalf("%d words, trial %d round %d offspring %d: port %d diverges after a screen", words, trial, round, off, s)
+						}
+					}
+				}
+			}
+		}
+	}
+	if stops == 0 || passedThenStopped == 0 {
+		t.Fatalf("%d screens stopped and %d passed a candidate the full sweep stopped; want both", stops, passedThenStopped)
+	}
+}
+
+// TestDeltaSimScreenPassesBeyondWord0 builds a watched port that differs
+// from the base only in word 1: the screen must pass it, the full sweep
+// stop at it, and Port must not serve a screened value.
+func TestDeltaSimScreenPassesBeyondWord0(t *testing.T) {
+	parent := NewNetlist(2)
+	and := ConfigCopy.FlipInv(0, 2) // majority 0: MAJ(a, b, ¬1) = a ∧ b
+	a, b := parent.PIPort(0), parent.PIPort(1)
+	parent.AddGate(Gate{In: [3]Signal{a, b, ConstPort}, Cfg: and})
+	// a and b agree in word 0 and are random in word 1.
+	in := bits.RandomInputs(2, 2, rand.New(rand.NewSource(5)))
+	in[1][0] = in[0][0]
+	base := NewSimContext(parent.NumPorts(), 2)
+	base.Run(parent, in, nil)
+	d := NewDeltaSim(base)
+
+	cand := parent.Clone()
+	cand.Gates[0].Cfg = ConfigCopy // a ∨ b: differs from a ∧ b where a ≠ b
+	stop := make([]bool, cand.NumPorts())
+	stop[cand.Port(0, 0)] = true
+	if cone, _, diff := d.Screen(cand, []int32{0}, stop); diff != 0 || cone != 1 {
+		t.Fatalf("Screen = (cone %d, diff %#x), want a pass after 1 gate", cone, diff)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Port after a screen did not panic")
+			}
+		}()
+		d.Port(cand.Port(0, 0))
+	}()
+	if _, at, stopped := d.RunDelta(cand, []int32{0}, stop, ^uint64(0)); !stopped || at != cand.Port(0, 0) {
+		t.Fatalf("RunDelta = (port %d, stopped %v), want a stop at %d", at, stopped, cand.Port(0, 0))
+	}
+
+	// Differ in every bit of word 0 too: the screen stops with all of them.
+	in[1][0] = ^in[0][0]
+	base.Run(parent, in, nil)
+	if _, at, diff := d.Screen(cand, []int32{0}, stop); at != cand.Port(0, 0) || diff != ^uint64(0) {
+		t.Fatalf("Screen = (port %d, diff %#x), want every bit of word 0 at %d", at, diff, cand.Port(0, 0))
+	}
+}
+
 // BenchmarkRunDelta times the dirty-cone kernel alone at cgp-hwb8's scale:
 // a 1,686-gate, 8-input netlist under its exhaustive 4-word stimulus, and
 // offspring of about 170 configuration flips each, the count a hwb8
 // offspring gets at the default mutation rate. "full" sweeps the whole
 // cone; "stop" watches the parent's primary-output ports, as the
-// incremental checker does for a parent that matches every sample.
+// incremental checker does for a parent that matches every sample; and
+// "screen" runs the one-word screen the checker puts before that sweep.
 func BenchmarkRunDelta(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	parent := looseNetlist(r, 8, 1686, 8)
@@ -285,17 +427,29 @@ func BenchmarkRunDelta(b *testing.B) {
 	tail := bits.TailMask(256, len(inputs[0]))
 	for _, c := range []struct {
 		name string
-		stop []bool
-	}{{"full", nil}, {"stop", watched}} {
+		run  func(d *DeltaSim, i int) int
+	}{
+		{"full", func(d *DeltaSim, i int) int {
+			n, _, _ := d.RunDelta(cands[i], seeds[i], nil, tail)
+			return n
+		}},
+		{"stop", func(d *DeltaSim, i int) int {
+			n, _, _ := d.RunDelta(cands[i], seeds[i], watched, tail)
+			return n
+		}},
+		{"screen", func(d *DeltaSim, i int) int {
+			n, _, _ := d.Screen(cands[i], seeds[i], watched)
+			return n
+		}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			d := NewDeltaSim(base)
-			d.RunDelta(cands[0], seeds[0], c.stop, tail) // grow the overlay outside the timer
+			c.run(d, 0) // grow the overlay and fill the plane outside the timer
 			b.ReportAllocs()
 			b.ResetTimer()
 			cone := 0
 			for i := 0; i < b.N; i++ {
-				n, _, _ := d.RunDelta(cands[i%mutants], seeds[i%mutants], c.stop, tail)
-				cone += n
+				cone += c.run(d, i%mutants)
 			}
 			b.ReportMetric(float64(cone)/float64(b.N), "gates/op")
 		})

@@ -20,6 +20,10 @@ type SimContext struct {
 	// port vectors (see RunTagged). Zero means untagged: the next run
 	// copies the PI vectors unconditionally.
 	stimID, stimGen uint64
+
+	// runs counts the simulations run in this context, so a DeltaSim can
+	// tell when its packed copy of the port vectors went stale.
+	runs uint64
 }
 
 // NewSimContext allocates storage for a netlist with up to maxPorts ports
@@ -74,6 +78,7 @@ func (ctx *SimContext) RunTagged(n *Netlist, inputs []bits.Vec, active []bool, s
 		panic("rqfp: wrong number of input vectors")
 	}
 	ctx.grow(n.NumPorts())
+	ctx.runs++
 	if stimID == 0 || ctx.stimID != stimID || ctx.stimGen != stimGen {
 		for i, in := range inputs {
 			copy(ctx.Port(n.PIPort(i)), in)

@@ -190,8 +190,8 @@ type Options struct {
 	// bit-identical to Workers = 1 on the same seed. Default 1.
 	Workers int
 	// Islands runs that many independent (1+λ) populations with periodic
-	// best-individual ring migration, dividing Workers among them.
-	// Default 1 (no island model).
+	// best-individual ring migration, within the Workers bound: at most
+	// Workers goroutines evaluate at once. Default 1 (no island model).
 	Islands int
 	// TimeBudget bounds the wall-clock time of the evolution.
 	TimeBudget time.Duration

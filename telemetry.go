@@ -104,9 +104,10 @@ type Telemetry struct {
 	FullEvals        int64
 	// ConeGates is the total number of gates incremental evaluations
 	// simulated before their verdict, cone gates the offspring leaves
-	// inactive included. A refuted offspring's sweep ends at its first
-	// wrong output, so ConeGates/IncrementalEvals is the mean work per
-	// evaluation, not the mean size of the dirty cone.
+	// inactive included: the one-word screen's gates plus those of any
+	// full-width sweep after it. Either sweep ends at a refuted
+	// offspring's first wrong output, so ConeGates/IncrementalEvals is the
+	// mean work per evaluation, not the mean size of the dirty cone.
 	ConeGates int64
 	// StopReason records why the search stopped: "generations" (budget
 	// exhausted), "deadline" (TimeBudget expired), or "canceled" (the
