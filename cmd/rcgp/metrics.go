@@ -64,7 +64,7 @@ func writeMetrics(w io.Writer, res *rcgp.Result) {
 	fmt.Fprintf(w, "  checks           %10d\n", c.Checks)
 	fmt.Fprintf(w, "  sim refuted      %10d\n", c.SimRefuted)
 	fmt.Fprintf(w, "  exhaustive proof %10d\n", c.ExhaustiveProved)
-	fmt.Fprintf(w, "  sat proved       %10d\n", c.SATProved)
+	fmt.Fprintf(w, "  sat proved       %10d  (%d by structural hashing alone)\n", c.SATProved, c.StructuralProved)
 	fmt.Fprintf(w, "  sat refuted      %10d  (%d counterexamples learned)\n", c.SATRefuted, c.Counterexamples)
 	if c.SATUnknown > 0 {
 		fmt.Fprintf(w, "  sat unknown      %10d  (%d aborted by cancellation)\n", c.SATUnknown, c.SATAborted)

@@ -93,6 +93,9 @@ type Stats struct {
 	SATRefuted int64 `json:"sat_refuted"`
 	SATUnknown int64 `json:"sat_unknown"`
 	SATAborted int64 `json:"sat_aborted"`
+	// StructuralProved is the subset of SATProved settled without a
+	// solver: offspring whose parent miter the structural hash closed.
+	StructuralProved int64 `json:"structural_proved"`
 	// Counterexamples counts distinguishing assignments folded back into
 	// the stimulus.
 	Counterexamples int64 `json:"counterexamples"`
@@ -111,6 +114,7 @@ func (s *Stats) Add(o Stats) {
 	s.SATRefuted += o.SATRefuted
 	s.SATUnknown += o.SATUnknown
 	s.SATAborted += o.SATAborted
+	s.StructuralProved += o.StructuralProved
 	s.Counterexamples += o.Counterexamples
 	s.SATTime += o.SATTime
 	s.SAT.Add(o.SAT)

@@ -24,12 +24,13 @@ import (
 //
 // When the parent is proved equal to the spec and the spec is not
 // exhaustive, an offspring that passes the screen is proved against the
-// parent instead of the spec: a fresh miter that shares every gate outside
-// the mutated cone and hashes majorities structurally, usually settled
-// without a solver call. Only a refutation goes on to the spec miter
-// (Prove), for the counterexample the spec path would return, so the
-// verdicts, counterexamples and SAT verdict counts equal CheckContext's;
-// the solver counters and SATTime count the solves actually run.
+// parent instead of the spec: a miter that shares every gate outside the
+// mutated cone and hashes majorities structurally, usually settled by the
+// hash alone, with no CNF built and no solver call. Only a refutation goes
+// on to the spec miter (Prove), for the counterexample the spec path would
+// return, so the verdicts, counterexamples and SAT verdict counts equal
+// CheckContext's; the solver counters and SATTime count the solves
+// actually run.
 //
 // The oracle is read through a snapshot of the spec's stimulus tables and
 // the statistics accumulate in a local shard until Flush merges them, so

@@ -13,46 +13,84 @@ import (
 // parentMiter proves an offspring equal to its resident parent. The two
 // netlists share every gene outside the mutated cone: the dirty gates plus
 // every gate that reads a port of a cone gate. A gate outside the cone
-// computes the same function in both, so it is encoded once and both sides
-// use it; a cone gate is encoded once with the parent's genes and once with
+// computes the same function in both, so it is built once and both sides
+// use it; a cone gate is built once with the parent's genes and once with
 // the child's. Every majority goes through a structural hash, so a cone
 // gate whose child copy is structurally the parent's collapses onto it, and
-// most offspring end with identical PO literals and no solver call.
+// most offspring end with identical PO literals.
+//
+// The hash runs as a structural pass that writes no clauses: each new
+// majority node gets the variable a CNF builder would give it and is
+// recorded, so an offspring whose PO literals all match is proved with no
+// builder and no solver. Otherwise a fresh builder allocates the pass's
+// variables, then writes the recorded nodes' clauses in recording order.
+// That is the CNF of a sweep that writes each node's clauses as it
+// allocates the node: the only level-0 assignment is the constant, which
+// fills at most one slot of a hashed majority, so no node clause is unit
+// and adding one assigns nothing.
 //
 // The tables are per-check scratch, kept between checks so a check does
-// not reallocate them; the CNF builder is fresh per check.
+// not reallocate them; the CNF builder is built only when an output pair
+// differs.
 type parentMiter struct {
-	b         *cnf.Builder
 	parentLit []sat.Lit // per port, parent side
 	childLit  []sat.Lit // per port, child side; parentLit's outside the cone
 	cone      []bool    // per gate
 	strash    map[[3]sat.Lit]sat.Lit
+	// nodes are the majority nodes of the pass in variable order; vars is
+	// the number of variables numbered so far, the constant and the PIs
+	// included.
+	nodes []majNode
+	vars  int
 	// parentOut and childOut are the PO literal pairs that differ.
 	parentOut, childOut []sat.Lit
 }
 
+// majNode is a recorded majority node: out ↔ MAJ(in[0], in[1], in[2]).
+type majNode struct {
+	out sat.Lit
+	in  [3]sat.Lit
+}
+
+// constTrue is the builder's constant-true literal: variable 0, positive.
+const constTrue sat.Lit = 0
+
 // prove decides whether child computes the same function as parent, whose
 // genes it shares except at dirtyGates and the POs. The active masks select
-// the gates to encode. A non-nil error — the context's — means no verdict
-// was reached. The solver's counters are returned (zero when no PO literal
-// differed and the solver was not called).
-func (m *parentMiter) prove(ctx context.Context, parent, child *rqfp.Netlist, parentActive, childActive []bool, dirtyGates []int32) (bool, sat.Stats, error) {
+// the gates to build. A non-nil error — the context's — means no verdict
+// was reached. hashed reports a proof by the structural pass alone, with
+// no CNF and zero solver counters; otherwise the solver's counters are
+// returned.
+func (m *parentMiter) prove(ctx context.Context, parent, child *rqfp.Netlist, parentActive, childActive []bool, dirtyGates []int32) (eq, hashed bool, _ sat.Stats, _ error) {
 	if err := ctx.Err(); err != nil {
-		return false, sat.Stats{}, err
+		return false, false, sat.Stats{}, err
 	}
+	if m.sweep(parent, child, parentActive, childActive, dirtyGates) {
+		return true, true, sat.Stats{}, nil
+	}
+	s := m.miter()
+	s.SetContext(ctx)
+	status, err := s.Solve()
+	return err == nil && status == sat.Unsat, false, s.Counters(), err
+}
+
+// sweep is the structural pass. It reports whether every PO literal pair
+// matches; when one differs, the differing pairs are in parentOut and
+// childOut.
+func (m *parentMiter) sweep(parent, child *rqfp.Netlist, parentActive, childActive []bool, dirtyGates []int32) bool {
 	m.reset(child)
+	m.parentLit[rqfp.ConstPort] = constTrue
+	m.childLit[rqfp.ConstPort] = constTrue
 	for i := 0; i < child.NumPI; i++ {
-		l := m.b.Lit()
+		l := sat.MkLit(1+i, false)
 		m.parentLit[child.PIPort(i)] = l
 		m.childLit[child.PIPort(i)] = l
 	}
-	m.parentLit[rqfp.ConstPort] = m.b.ConstTrue
-	m.childLit[rqfp.ConstPort] = m.b.ConstTrue
 	for _, g := range dirtyGates {
 		m.cone[g] = true
 	}
 	// Gates are in topological order, so one ascending sweep closes the
-	// cone over fan-out and encodes every gate after its fanins.
+	// cone over fan-out and builds every gate after its fanins.
 	for g := range child.Gates {
 		gate := &child.Gates[g]
 		if !m.cone[g] {
@@ -65,17 +103,17 @@ func (m *parentMiter) prove(ctx context.Context, parent, child *rqfp.Netlist, pa
 		}
 		switch {
 		case !parentActive[g] && !childActive[g]:
-			// In neither phenotype: not encoded.
+			// In neither phenotype: not built.
 		case !m.cone[g]:
-			m.encode(child, g, gate, m.parentLit)
+			m.hashGate(child, g, gate, m.parentLit)
 			base := child.GateBase(g)
 			copy(m.childLit[base:base+3], m.parentLit[base:base+3])
 		default:
 			if parentActive[g] {
-				m.encode(child, g, &parent.Gates[g], m.parentLit)
+				m.hashGate(child, g, &parent.Gates[g], m.parentLit)
 			}
 			if childActive[g] {
-				m.encode(child, g, gate, m.childLit)
+				m.hashGate(child, g, gate, m.childLit)
 			}
 		}
 	}
@@ -86,19 +124,13 @@ func (m *parentMiter) prove(ctx context.Context, parent, child *rqfp.Netlist, pa
 			m.childOut = append(m.childOut, c)
 		}
 	}
-	if len(m.parentOut) == 0 {
-		return true, sat.Stats{}, nil
-	}
-	m.b.AddClause(m.b.MiterOutputs(m.parentOut, m.childOut))
-	m.b.S.SetContext(ctx)
-	status, err := m.b.S.Solve()
-	return err == nil && status == sat.Unsat, m.b.S.Counters(), err
+	return len(m.parentOut) == 0
 }
 
-// reset starts a check on a netlist of n's shape: a fresh builder, empty
-// cone marks and hash, and literal tables sized for n's ports.
+// reset starts a check on a netlist of n's shape: no nodes, the constant
+// and n's PIs as the only variables, empty cone marks and hash, and
+// literal tables sized for n's ports.
 func (m *parentMiter) reset(n *rqfp.Netlist) {
-	m.b = cnf.NewBuilder()
 	ports, gates := n.NumPorts(), len(n.Gates)
 	m.parentLit = slices.Grow(m.parentLit[:0], ports)[:ports]
 	m.childLit = slices.Grow(m.childLit[:0], ports)[:ports]
@@ -108,11 +140,13 @@ func (m *parentMiter) reset(n *rqfp.Netlist) {
 		m.strash = make(map[[3]sat.Lit]sat.Lit)
 	}
 	clear(m.strash)
+	m.nodes = m.nodes[:0]
+	m.vars = 1 + n.NumPI
 }
 
-// encode sets the three output literals of gate g, configured by gate's
+// hashGate sets the three output literals of gate g, configured by gate's
 // genes, from the literals of its fanins in lit.
-func (m *parentMiter) encode(n *rqfp.Netlist, g int, gate *rqfp.Gate, lit []sat.Lit) {
+func (m *parentMiter) hashGate(n *rqfp.Netlist, g int, gate *rqfp.Gate, lit []sat.Lit) {
 	for k := 0; k < 3; k++ {
 		var in [3]sat.Lit
 		for j := 0; j < 3; j++ {
@@ -127,9 +161,10 @@ func (m *parentMiter) encode(n *rqfp.Netlist, g int, gate *rqfp.Gate, lit []sat.
 
 // maj returns a literal for MAJ(x, y, z). The fanins are sorted, so equal
 // and complementary ones sit side by side: MAJ(x, x, y) = x and
-// MAJ(x, ¬x, y) = y need no node. Otherwise a node already built for the
-// triple, or for its complement (MAJ is self-dual:
-// MAJ(¬x, ¬y, ¬z) = ¬MAJ(x, y, z)), is reused before clauses are added.
+// MAJ(x, ¬x, y) = y need no node. Otherwise a node already recorded for
+// the triple, or for its complement (MAJ is self-dual:
+// MAJ(¬x, ¬y, ¬z) = ¬MAJ(x, y, z)), is reused before a new node is
+// recorded on the next variable.
 func (m *parentMiter) maj(x, y, z sat.Lit) sat.Lit {
 	if x > y {
 		x, y = y, x
@@ -156,9 +191,32 @@ func (m *parentMiter) maj(x, y, z sat.Lit) sat.Lit {
 	if o, ok := m.strash[[3]sat.Lit{x.Not(), y.Not(), z.Not()}]; ok {
 		return o.Not()
 	}
-	o := m.b.Maj(x, y, z)
+	o := sat.MkLit(m.vars, false)
+	m.vars++
+	m.nodes = append(m.nodes, majNode{out: o, in: key})
 	m.strash[key] = o
 	return o
+}
+
+// build returns a fresh builder holding the pass's variables and the
+// recorded nodes' clauses, written in recording order.
+func (m *parentMiter) build() *cnf.Builder {
+	b := cnf.NewBuilder()
+	for v := 1; v < m.vars; v++ {
+		b.Lit()
+	}
+	for _, n := range m.nodes {
+		b.DefineMaj(n.out, n.in[0], n.in[1], n.in[2])
+	}
+	return b
+}
+
+// miter returns a fresh solver holding the built nodes and the miter that
+// asserts some differing PO pair differs.
+func (m *parentMiter) miter() *sat.Solver {
+	b := m.build()
+	b.AddClause(b.MiterOutputs(m.parentOut, m.childOut))
+	return b.S
 }
 
 // proveAgainstParent confirms an offspring that passed the simulation
@@ -172,7 +230,10 @@ func (inc *Incremental) proveAgainstParent(ctx context.Context, n *rqfp.Netlist,
 	s, st := inc.spec, &inc.stats
 	st.Checks++
 	start := time.Now()
-	eq, solver, err := inc.miter.prove(ctx, inc.parent, n, inc.parentActive, active, dirtyGates)
+	eq, hashed, solver, err := inc.miter.prove(ctx, inc.parent, n, inc.parentActive, active, dirtyGates)
+	if hashed {
+		st.StructuralProved++
+	}
 	var cex []bool
 	if err == nil && !eq {
 		var spec sat.Stats

@@ -12,8 +12,8 @@ import (
 
 // andChain returns the 16-input AND as a spec — random simulation of 4
 // words virtually never samples its one true assignment — and an RQFP
-// netlist of it: gate i-1 computes MAJ(prev, x_i, ¬1) = prev ∧ x_i on
-// majority 0.
+// netlist of it: gate i-1 computes MAJ(prev, x_i, ¬1) = prev ∧ x_i on all
+// three majorities, and the next gate reads port 0.
 func andChain() (*Spec, *rqfp.Netlist) {
 	a := aig.New(16)
 	acc := a.PI(0)
@@ -22,7 +22,7 @@ func andChain() (*Spec, *rqfp.Netlist) {
 	}
 	a.AddPO(acc)
 	n := rqfp.NewNetlist(16)
-	and := rqfp.ConfigCopy.FlipInv(0, 2)
+	and := rqfp.ConfigCopy.InvertInputAll(2)
 	prev := n.PIPort(0)
 	for i := 1; i < 16; i++ {
 		g := n.AddGate(rqfp.Gate{In: [3]rqfp.Signal{prev, n.PIPort(i), rqfp.ConstPort}, Cfg: and})
@@ -97,7 +97,8 @@ func TestParentProofRareDivergence(t *testing.T) {
 		t.Fatalf("re-associated chain not proved: %+v ok=%v", v, ok)
 	}
 	after = stats()
-	if after.SATProved != before.SATProved+1 || after.SAT.Propagations == before.SAT.Propagations {
+	if after.SATProved != before.SATProved+1 || after.SAT.Propagations == before.SAT.Propagations ||
+		after.StructuralProved != before.StructuralProved {
 		t.Fatalf("re-associated chain not proved by the solver: before %+v, after %+v", before, after)
 	}
 
@@ -112,7 +113,8 @@ func TestParentProofRareDivergence(t *testing.T) {
 		t.Fatalf("swapped fanins not proved: %+v ok=%v", v, ok)
 	}
 	after = stats()
-	if after.SATProved != before.SATProved+1 || after.SAT != before.SAT {
+	if after.SATProved != before.SATProved+1 || after.SAT != before.SAT ||
+		after.StructuralProved != before.StructuralProved+1 {
 		t.Fatalf("swapped fanins needed the solver: before %+v, after %+v", before, after)
 	}
 
@@ -140,13 +142,14 @@ func TestParentProofRareDivergence(t *testing.T) {
 // TestParentMiterStructuralHash checks the hashed majority against MAJ on
 // every triple over {1, a, b, c} and their complements — repeated and
 // complementary fanins that collapse, and triples merged with an earlier
-// node or its complement.
+// node or its complement — through the clauses build writes for the
+// recorded nodes.
 func TestParentMiterStructuralHash(t *testing.T) {
 	var m parentMiter
 	m.reset(rqfp.NewNetlist(3))
-	a, b, c := m.b.Lit(), m.b.Lit(), m.b.Lit()
+	a, b, c := sat.MkLit(1, false), sat.MkLit(2, false), sat.MkLit(3, false)
 	var lits []sat.Lit // index 2i is variable i of {1, a, b, c}, 2i+1 its complement
-	for _, l := range []sat.Lit{m.b.ConstTrue, a, b, c} {
+	for _, l := range []sat.Lit{constTrue, a, b, c} {
 		lits = append(lits, l, l.Not())
 	}
 	type node struct {
@@ -164,13 +167,17 @@ func TestParentMiterStructuralHash(t *testing.T) {
 	if m.maj(c, a, b) != m.maj(a, b, c) || m.maj(a.Not(), b.Not(), c.Not()) != m.maj(a, b, c).Not() {
 		t.Fatal("permuted or complemented triples were not merged")
 	}
+	s := m.build().S
+	if s.NumVars() != m.vars {
+		t.Fatalf("built %d variables for the pass's %d", s.NumVars(), m.vars)
+	}
 	for x := 0; x < 8; x++ {
 		val := func(i int) bool {
 			v := i/2 == 0 || x>>(i/2-1)&1 == 1
 			return v != (i%2 == 1)
 		}
 		assume := []sat.Lit{sat.MkLit(a.Var(), x&1 == 0), sat.MkLit(b.Var(), x&2 == 0), sat.MkLit(c.Var(), x&4 == 0)}
-		if st, err := m.b.S.Solve(assume...); err != nil || st != sat.Sat {
+		if st, err := s.Solve(assume...); err != nil || st != sat.Sat {
 			t.Fatalf("assignment %03b: %v %v", x, st, err)
 		}
 		for _, n := range nodes {
@@ -180,7 +187,7 @@ func TestParentMiterStructuralHash(t *testing.T) {
 					ones++
 				}
 			}
-			if got, want := m.b.S.ValueLit(n.out), ones >= 2; got != want {
+			if got, want := s.ValueLit(n.out), ones >= 2; got != want {
 				t.Fatalf("assignment %03b: MAJ%v = %v, want %v", x, n.in, got, want)
 			}
 		}

@@ -55,9 +55,15 @@ func (b *Builder) Xor(x, y sat.Lit) sat.Lit {
 	return o
 }
 
-// Maj encodes o ↔ MAJ(x,y,z) and returns o.
+// Maj encodes o ↔ MAJ(x,y,z) for a fresh o and returns o.
 func (b *Builder) Maj(x, y, z sat.Lit) sat.Lit {
 	o := b.Lit()
+	b.DefineMaj(o, x, y, z)
+	return o
+}
+
+// DefineMaj adds the six clauses of o ↔ MAJ(x,y,z) for an allocated o.
+func (b *Builder) DefineMaj(o, x, y, z sat.Lit) {
 	// Any two true fanins force o; any two false fanins force ¬o.
 	b.S.AddClause(x.Not(), y.Not(), o)
 	b.S.AddClause(x.Not(), z.Not(), o)
@@ -65,7 +71,6 @@ func (b *Builder) Maj(x, y, z sat.Lit) sat.Lit {
 	b.S.AddClause(x, y, o.Not())
 	b.S.AddClause(x, z, o.Not())
 	b.S.AddClause(y, z, o.Not())
-	return o
 }
 
 // Mux encodes o ↔ (s ? x : y) and returns o.

@@ -442,6 +442,7 @@ func recordRunMetrics(reg *obs.Scope, res *Result) {
 	reg.Counter("cec.sat_proved").Add(cs.SATProved)
 	reg.Counter("cec.sat_refuted").Add(cs.SATRefuted)
 	reg.Counter("cec.sat_aborted").Add(cs.SATAborted)
+	reg.Counter("cec.structural_proved").Add(cs.StructuralProved)
 	reg.Counter("cec.counterexamples").Add(cs.Counterexamples)
 	reg.Counter("sat.conflicts").Add(cs.SAT.Conflicts)
 	reg.Counter("sat.decisions").Add(cs.SAT.Decisions)

@@ -170,6 +170,9 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
+// NumVars returns the number of variables.
+func (s *Solver) NumVars() int { return s.numVars }
+
 // NumClauses returns the number of live problem clauses plus learnt clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) - len(s.free) }
 

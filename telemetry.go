@@ -52,10 +52,13 @@ type CECStats struct {
 	SATRefuted       int64
 	SATUnknown       int64
 	// SATAborted is the subset of SATUnknown cut short by cancellation.
-	SATAborted      int64
-	Counterexamples int64
-	SATTime         time.Duration
-	Solver          SATStats
+	SATAborted int64
+	// StructuralProved is the subset of SATProved settled by structural
+	// hashing alone, with no CNF built and no solver call.
+	StructuralProved int64
+	Counterexamples  int64
+	SATTime          time.Duration
+	Solver           SATStats
 }
 
 // MutationStat reports one RQFP-aware mutation kind ("config",
@@ -156,6 +159,7 @@ func cecStatsFromInternal(s cec.Stats) CECStats {
 		SATRefuted:       s.SATRefuted,
 		SATUnknown:       s.SATUnknown,
 		SATAborted:       s.SATAborted,
+		StructuralProved: s.StructuralProved,
 		Counterexamples:  s.Counterexamples,
 		SATTime:          s.SATTime,
 		Solver:           satStatsFromInternal(s.SAT),
