@@ -49,7 +49,7 @@ func run() error {
 		lambda    = flag.Int("lambda", 4, "CGP offspring per generation (λ)")
 		mu        = flag.Float64("mu", 0.05, "CGP mutation rate (μ); the paper uses 1")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 1, "goroutines evaluating offspring concurrently (0 = NumCPU); deterministic per seed")
+		workers   = flag.Int("workers", 1, "goroutines evaluating offspring concurrently (0 = GOMAXPROCS); deterministic per seed")
 		islands   = flag.Int("islands", 1, "independent (1+λ) populations with periodic ring migration")
 		optimizer = flag.String("optimizer", "cgp", "search engine: cgp (paper), anneal, hybrid")
 		budget    = flag.Duration("time", 0, "wall-clock budget for the evolution (0 = none)")
@@ -88,7 +88,7 @@ func run() error {
 	}
 
 	if *workers <= 0 {
-		*workers = runtime.NumCPU()
+		*workers = runtime.GOMAXPROCS(0)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

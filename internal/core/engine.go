@@ -5,52 +5,79 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/reversible-eda/rcgp/internal/obs"
 )
 
-// evalSlot is the per-offspring state of one generation batch. Each slot
+// cacheLine is the coherence granule the slot padding assumes: 64 bytes
+// on amd64 and on most arm64 cores.
+const cacheLine = 64
+
+// slotState is the per-offspring state of one generation batch. Each slot
 // owns its genotype storage, RNG, and mutation counters, so a worker can
 // fill it without touching any shared state; the reducer drains the slots
 // strictly in index order.
-type evalSlot struct {
+type slotState struct {
 	g    *genotype
-	rng  *rand.Rand
+	src  mutSource // rng's source, re-seeded every generation
+	rng  rand.Rand
 	stat MutationStats
 	out  Outcome
 	done bool // evaluation completed (not aborted)
 }
 
+// evalSlot pads a slot to whole cache lines. Two workers write their own
+// slots' RNG state, counters and outcomes on every offspring; without the
+// padding, neighbouring slots of different workers would share a line
+// and every write would pull it from the other core.
+type evalSlot struct {
+	slotState
+	_ [cacheLine - unsafe.Sizeof(slotState{})%cacheLine]byte
+}
+
+func newEvalSlot(g *genotype) *evalSlot {
+	s := &evalSlot{}
+	s.g = g
+	s.g.stats = &s.stat
+	s.rng = *rand.New(&s.src)
+	return s
+}
+
 // engine runs one (1+λ) population. The λ offspring of each generation are
-// mutated and evaluated either inline (Workers == 1) or on a pool of
-// persistent worker goroutines, but always from per-offspring RNG streams
-// whose seeds the coordinator pre-draws in offspring order. Combined with
-// the index-ordered reduction (adoption scan, telemetry merge, deferred
-// counterexample learning), the search trajectory is bit-identical for any
-// worker count on the same Options.Seed.
+// mutated and evaluated in Workers contiguous slot ranges, but always from
+// per-offspring RNG streams whose seeds the coordinator pre-draws in
+// offspring order. Combined with the index-ordered reduction (adoption
+// scan, telemetry merge, deferred counterexample learning), the search
+// trajectory is bit-identical for any worker count on the same
+// Options.Seed.
 //
-// Dispatch is batched: the λ slots are statically partitioned into one
-// contiguous range per worker, and a generation costs exactly one channel
-// send and one wg.Done per WORKER — not per offspring — so the coordinator
-// handoff stays off the profile even at microsecond evaluation costs.
-// Workers write results into their own slots (no result channel, no shared
-// mutable state), re-sync their oracle snapshot at the top of each batch,
-// and drain their local metric/statistics shards at the bottom, which makes
-// the per-candidate hot path lock-free end to end. The static partition
-// also means a given slot index is always evaluated by the same worker, so
-// worker-local caches (resident parent simulations, SAT solver scratch) see
-// a deterministic request sequence.
+// The coordinator evaluates the first range itself on the root evaluator;
+// Workers−1 helper goroutines, started with the engine, each own one of
+// the other ranges and a forked evaluator. A generation opens with one
+// signal of the start gate, which every helper waits on, and closes when
+// the last helper to finish signals the done gate, which the coordinator
+// waits on after its own range. Both waits poll briefly before they park
+// (see gate), so helpers stay hot between generations when every worker
+// has a processor. Workers write results into their own padded slots (no
+// result channel, no shared mutable state), re-sync their oracle snapshot
+// at the top of each batch, and drain their local metric/statistics
+// shards at the bottom, which makes the per-candidate hot path lock-free
+// end to end. The static partition also means a given slot index is
+// always evaluated by the same evaluator, so evaluator-local caches
+// (resident parent simulations, SAT solver scratch) see a deterministic
+// request sequence.
 //
 // Progress and Trace callbacks are only ever invoked from the goroutine
-// that calls run — never from a worker — so user callbacks need no
+// that calls run — never from a helper — so user callbacks need no
 // synchronization even with Workers > 1.
 type engine struct {
 	opt    Options
 	island int // -1 for a plain single-population run
 
-	eval  Evaluator // reducer-side root; workers use forks
+	eval  Evaluator // root: the coordinator's range and the reducer; helpers use forks
 	r     *rand.Rand
 	seeds []int64
 
@@ -64,17 +91,25 @@ type engine struct {
 	parentEpoch uint64
 
 	slots []*evalSlot
-	// starts carries one wakeup per worker per generation; worker w then
-	// runs the static slot range batches[w] = [lo, hi). Both are nil when
-	// Workers == 1 (the coordinator runs the whole batch inline).
-	starts  []chan struct{}
+	// batches[w] = [lo, hi) is worker w's static slot range; worker 0 is
+	// the coordinator, which runs the whole batch when Workers == 1.
 	batches [][2]int
 	// shards are the per-worker local eval-latency accumulators, drained
-	// into hists at batch boundaries; nil entries when unmetered. Index 0
-	// doubles as the sequential engine's shard.
+	// into hists at batch boundaries; nil entries when unmetered.
 	shards []*obs.HistShard
-	wg     sync.WaitGroup
-	ctx    context.Context // batch context, published before the starts send
+	ctx    context.Context // batch context, published before the start signal
+
+	// helpers is the number of running helper goroutines (Workers−1, and
+	// 0 once close has stopped them). Round k of the helpers opens when
+	// start reaches k and closes when done reaches k: pending counts the
+	// helpers still in the round, and the one that takes it to 0 signals
+	// done. rounds counts the rounds opened so far; quit, set before the
+	// last round opens, tells the helpers to exit instead of evaluating.
+	helpers     int
+	start, done *gate
+	pending     atomic.Int32
+	rounds      uint64
+	quit        bool
 
 	gen int
 	tel Telemetry
@@ -99,12 +134,13 @@ type engine struct {
 	startTime time.Time
 }
 
-// newEngine validates and scores the initial netlist and starts the worker
-// pool. The initial evaluation deliberately ignores cancellation (its SAT
-// proof already succeeded during pipeline validation), so even a budget
-// that expires immediately still yields a valid parent rather than an
-// error. close must be called when the engine is done.
-func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engine, error) {
+// newEngine validates and scores the initial netlist and starts the
+// helpers, whose gate waits poll for up to spin before they park. The
+// initial evaluation deliberately ignores cancellation (its SAT proof
+// already succeeded during pipeline validation), so even a budget that
+// expires immediately still yields a valid parent rather than an error.
+// close must be called when the engine is done.
+func newEngine(initial *genotype, ev Evaluator, opt Options, island int, spin time.Duration) (*engine, error) {
 	e := &engine{opt: opt, island: island, eval: ev, r: rand.New(rand.NewSource(opt.Seed))}
 	e.parentEpoch = 1
 	e.startTime = time.Now()
@@ -122,9 +158,7 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 	e.seeds = make([]int64, opt.Lambda)
 	e.slots = make([]*evalSlot, opt.Lambda)
 	for i := range e.slots {
-		s := &evalSlot{g: newGenotype(e.parent.net.Clone()), rng: rand.New(new(mutSource))}
-		s.g.stats = &s.stat
-		e.slots[i] = s
+		e.slots[i] = newEvalSlot(newGenotype(e.parent.net.Clone()))
 	}
 	e.hists = make([]obs.HistogramSet, opt.Workers)
 	e.shards = make([]*obs.HistShard, opt.Workers)
@@ -149,15 +183,17 @@ func newEngine(initial *genotype, ev Evaluator, opt Options, island int) (*engin
 			e.garbageGauge = opt.Metrics.Gauge("cgp.best_garbage")
 		}
 	}
+	e.batches = make([][2]int, opt.Workers)
+	for w := range e.batches {
+		// Contiguous near-even split; Workers <= Lambda (clamped by
+		// withDefaults), so every worker owns at least one slot.
+		e.batches[w] = [2]int{w * opt.Lambda / opt.Workers, (w + 1) * opt.Lambda / opt.Workers}
+	}
 	if opt.Workers > 1 {
-		e.starts = make([]chan struct{}, opt.Workers)
-		e.batches = make([][2]int, opt.Workers)
-		for w := 0; w < opt.Workers; w++ {
-			// Contiguous near-even split; Workers <= Lambda (clamped by
-			// withDefaults), so every worker owns at least one slot.
-			e.batches[w] = [2]int{w * opt.Lambda / opt.Workers, (w + 1) * opt.Lambda / opt.Workers}
-			e.starts[w] = make(chan struct{}, 1)
-			go e.worker(w, e.starts[w], ev.Fork())
+		e.start, e.done = newGate(spin), newGate(spin)
+		e.helpers = opt.Workers - 1
+		for w := 1; w < opt.Workers; w++ {
+			go e.helper(w, ev.Fork())
 		}
 	}
 	return e, nil
@@ -170,35 +206,59 @@ func (e *engine) histName(w int) string {
 	return fmt.Sprintf("cgp.eval.worker_%d", w)
 }
 
-// close stops the worker pool. Safe to call more than once.
+// close stops the helpers and returns once every one of them has left its
+// loop. Safe to call more than once.
 func (e *engine) close() {
-	if e.starts != nil {
-		for _, ch := range e.starts {
-			close(ch)
-		}
-		e.starts = nil
+	if e.helpers > 0 {
+		e.quit = true
+		e.openRound()
+		e.done.wait(e.rounds)
+		e.helpers = 0
 	}
 	// Publish the root evaluator's buffered oracle statistics, so Spec.Stats
 	// reads taken after a run see complete totals.
 	e.eval.FlushStats()
 }
 
-// worker evaluates its static slot range once per wakeup on start. Everything
-// the batch reads (parent, fitness, epoch, seeds, ctx) was published by the
-// coordinator before the starts send; everything it writes lands in its own
-// slots and its own shards, which it drains before signalling completion.
-// The channel is passed in rather than read from e.starts, which close
-// clears, possibly before the worker goroutine first runs.
-func (e *engine) worker(w int, start <-chan struct{}, ev Evaluator) {
+// openRound releases every helper into the next round.
+func (e *engine) openRound() {
+	e.pending.Store(int32(e.helpers))
+	e.rounds++
+	e.start.signal()
+}
+
+// helper evaluates worker w's static slot range once per round. Everything
+// the batch reads (parent, fitness, epoch, seeds, ctx, quit) was published
+// by the coordinator before the start signal; everything it writes lands
+// in its own slots and its own shards, which it drains before it leaves
+// the round.
+func (e *engine) helper(w int, ev Evaluator) {
 	lo, hi := e.batches[w][0], e.batches[w][1]
-	for range start {
-		e.runBatch(lo, hi, ev, e.shards[w])
-		if e.shards[w] != nil {
-			e.hists[w].Drain(e.shards[w])
+	for round := uint64(1); ; round++ {
+		e.start.wait(round)
+		// Read quit before leaving the round: once the last helper has
+		// left, the coordinator may go on to close and write it.
+		quit := e.quit
+		if !quit {
+			e.runBatch(lo, hi, ev, e.shards[w])
+			e.flush(w, ev)
 		}
-		ev.FlushStats()
-		e.wg.Done()
+		if e.pending.Add(-1) == 0 {
+			e.done.signal()
+		}
+		if quit {
+			return
+		}
 	}
+}
+
+// flush drains worker w's latency shard and ev's buffered oracle counters
+// at the end of a batch.
+func (e *engine) flush(w int, ev Evaluator) {
+	if e.shards[w] != nil {
+		e.hists[w].Drain(e.shards[w])
+	}
+	ev.FlushStats()
 }
 
 // runBatch mutates and evaluates slots [lo, hi) on ev. The parent re-sync
@@ -234,7 +294,7 @@ func (e *engine) runSlot(i int, ev Evaluator, shard *obs.HistShard) bool {
 	}
 	s.rng.Seed(e.seeds[i])
 	s.g.reset(e.parent, e.parentEpoch)
-	s.g.mutate(s.rng, e.opt.MutationRate)
+	s.g.mutate(&s.rng, e.opt.MutationRate)
 	var start time.Time
 	if shard != nil {
 		start = time.Now()
@@ -269,20 +329,16 @@ func (e *engine) run(ctx context.Context, gens int) StopReason {
 		for i := range e.seeds {
 			e.seeds[i] = e.r.Int63()
 		}
-		if e.starts != nil {
-			// One buffered send per worker wakes the whole pool; the shared
-			// WaitGroup is the only synchronization until the batch barrier.
-			e.wg.Add(len(e.starts))
-			for _, ch := range e.starts {
-				ch <- struct{}{}
-			}
-			e.wg.Wait()
-		} else {
-			e.runBatch(0, len(e.slots), e.eval, e.shards[0])
-			if e.shards[0] != nil {
-				e.hists[0].Drain(e.shards[0])
-			}
-			e.eval.FlushStats()
+		// One start signal releases every helper; the coordinator then runs
+		// the first range itself and waits for the last helper at the done
+		// gate, the only synchronization until the batch barrier.
+		if e.helpers > 0 {
+			e.openRound()
+		}
+		e.runBatch(e.batches[0][0], e.batches[0][1], e.eval, e.shards[0])
+		e.flush(0, e.eval)
+		if e.helpers > 0 {
+			e.done.wait(e.rounds)
 		}
 
 		// Reduce in offspring-index order: this fixes the order of

@@ -229,7 +229,7 @@ func optimize(ctx context.Context, initial *rqfp.Netlist, ev Evaluator, opt Opti
 			gens = 0
 		}
 	}
-	e, err := newEngine(newGenotype(parent), ev, opt, -1)
+	e, err := newEngine(newGenotype(parent), ev, opt, -1, spinFor(opt.Workers))
 	if err != nil {
 		return nil, err
 	}

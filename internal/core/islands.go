@@ -28,6 +28,7 @@ func optimizeIslands(ctx context.Context, start time.Time, initial *rqfp.Netlist
 	if perWorkers < 1 {
 		perWorkers = 1
 	}
+	spin := spinFor(opt.Workers) // the whole run's workers, not one island's
 	islands := make([]*engine, k)
 	defer func() {
 		for _, e := range islands {
@@ -49,7 +50,7 @@ func optimizeIslands(ctx context.Context, start time.Time, initial *rqfp.Netlist
 		if i > 0 {
 			root = ev.Fork()
 		}
-		e, err := newEngine(newGenotype(initial.Clone()), root, iopt, i)
+		e, err := newEngine(newGenotype(initial.Clone()), root, iopt, i, spin)
 		if err != nil {
 			return nil, err
 		}

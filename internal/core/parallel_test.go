@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"github.com/reversible-eda/rcgp/internal/aig"
 	"github.com/reversible-eda/rcgp/internal/cec"
@@ -267,9 +270,9 @@ func TestProgressSingleGoroutine(t *testing.T) {
 	}
 }
 
-// A search canceled as it starts closes its engine before the worker
-// goroutines first run; they must neither race with close nor index the
-// start channels close has already cleared.
+// A search canceled as it starts closes its engine before the helper
+// goroutines first run; they must neither race with close nor miss the
+// round that tells them to quit.
 func TestEngineCloseBeforeWorkersRun(t *testing.T) {
 	spec, n := buildCase(decoderTables())
 	ctx, cancel := context.WithCancel(context.Background())
@@ -332,6 +335,190 @@ func TestIslandsRespectWorkers(t *testing.T) {
 		tg.Elapsed, tw.Elapsed = 0, 0
 		if tg != tw {
 			t.Fatalf("islands %d: telemetry diverged between workers %d and %d:\n%+v\n%+v", c.islands, c.workers, c.islands, tg, tw)
+		}
+	}
+}
+
+// sameRun fails t unless got repeats want exactly: the fitness, the final
+// circuit, and every Telemetry count (only the wall clock may differ).
+func sameRun(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Fitness != want.Fitness {
+		t.Fatalf("%s: fitness %+v, want %+v", label, got.Fitness, want.Fitness)
+	}
+	if got.Best.String() != want.Best.String() {
+		t.Fatalf("%s evolved another circuit", label)
+	}
+	tg, tw := got.Telemetry, want.Telemetry
+	tg.Elapsed, tw.Elapsed = 0, 0
+	if tg != tw {
+		t.Fatalf("%s: telemetry diverged:\n%+v\n%+v", label, tg, tw)
+	}
+}
+
+// decoderRun runs the decoder case with the options the determinism tests
+// share, changed by set.
+func decoderRun(t *testing.T, workers int, set func(*Options)) *Result {
+	t.Helper()
+	spec, n := buildCase(decoderTables())
+	opt := Options{Generations: 300, Lambda: 8, MutationRate: 0.15, Seed: 42, Workers: workers}
+	if set != nil {
+		set(&opt)
+	}
+	return optimizeWith(t, n, spec, false, opt)
+}
+
+// TestParkedHelpersMatchOneWorker holds the coordinator between
+// generations for longer than the spin budget, in a Progress callback at
+// every generation, so that the helpers give up polling, park, and are
+// woken through the gate's condition variable every generation.
+func TestParkedHelpersMatchOneWorker(t *testing.T) {
+	slow := func(o *Options) {
+		o.ProgressEvery = 1
+		o.Progress = func(int, Fitness) { time.Sleep(2 * spinBudget) }
+	}
+	want := decoderRun(t, 1, nil)
+	for _, workers := range []int{2, 4} {
+		sameRun(t, fmt.Sprintf("Workers=%d with parked helpers", workers), decoderRun(t, workers, slow), want)
+	}
+}
+
+// TestWorkersAboveGOMAXPROCSMatchOneWorker runs four workers on one
+// processor, where every gate wait parks at once instead of polling.
+func TestWorkersAboveGOMAXPROCSMatchOneWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if spin := spinFor(4); spin != 0 {
+		t.Fatalf("four workers on one processor poll for %v before they park", spin)
+	}
+	sameRun(t, "Workers=4 at GOMAXPROCS 1", decoderRun(t, 4, nil), decoderRun(t, 1, nil))
+}
+
+// cancelProbe wraps the production evaluator; the offspring evaluation
+// that takes the count shared by all forks to at cancels the search's
+// context, in the middle of a generation.
+type cancelProbe struct {
+	*SpecEvaluator
+	calls  *atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (p cancelProbe) EvaluateDelta(ctx context.Context, n *rqfp.Netlist, d Delta) Outcome {
+	if p.calls.Add(1) == p.at {
+		p.cancel()
+	}
+	return p.SpecEvaluator.EvaluateDelta(ctx, n, d)
+}
+
+func (p cancelProbe) Fork() Evaluator {
+	return cancelProbe{p.SpecEvaluator.Fork().(*SpecEvaluator), p.calls, p.at, p.cancel}
+}
+
+// TestNoHelperOutlivesItsSearch counts goroutines around runs that start
+// helpers: a plain run, a run cancelled in the middle of a generation, and
+// an island run. Each must have had its helpers running, must repeat the
+// Workers 1 run, and must leave no goroutine behind.
+func TestNoHelperOutlivesItsSearch(t *testing.T) {
+	base := settledGoroutines()
+	var running int
+	watch := func(o *Options) {
+		o.ProgressEvery = 50
+		o.Progress = func(int, Fitness) { running = max(running, runtime.NumGoroutine()-base) }
+	}
+	check := func(what string, helpers int) {
+		t.Helper()
+		if running < helpers {
+			t.Fatalf("%s: %d goroutines above the baseline during the search, want at least %d helpers", what, running, helpers)
+		}
+		running = 0
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s left %d goroutines running, %d before it", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+
+	sameRun(t, "plain run at Workers=4", decoderRun(t, 4, watch), decoderRun(t, 1, nil))
+	check("plain run", 3)
+
+	cancelled := func(workers int, set func(*Options)) *Result {
+		spec, n := buildCase(decoderTables())
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opt := Options{Generations: 300, Lambda: 8, MutationRate: 0.15, Seed: 42, Workers: workers}
+		if set != nil {
+			set(&opt)
+		}
+		// Offspring 4 of generation 100: every generation evaluates all
+		// eight offspring, so the abandoned generation does not depend on
+		// the worker count.
+		probe := cancelProbe{NewSpecEvaluator(spec), new(atomic.Int64), 100*8 + 5, cancel}
+		res, err := optimize(ctx, n, probe, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Telemetry.StopReason != StopCanceled || res.Generations != 100 {
+			t.Fatalf("Workers=%d: stopped at generation %d for %q, want generation 100 for %q",
+				workers, res.Generations, res.Telemetry.StopReason, StopCanceled)
+		}
+		return res
+	}
+	got, want := cancelled(4, watch), cancelled(1, nil)
+	if got.Fitness != want.Fitness || got.Best.String() != want.Best.String() {
+		t.Fatal("a run cancelled at Workers=4 kept another circuit than at Workers=1")
+	}
+	check("cancelled run", 3)
+
+	islands := func(o *Options) { o.Islands, o.MigrateEvery = 2, 50 }
+	sameRun(t, "island run at Workers=4", decoderRun(t, 4, func(o *Options) { islands(o); watch(o) }), decoderRun(t, 1, islands))
+	check("island run", 2)
+}
+
+// settledGoroutines returns the goroutine count once goroutines that
+// earlier tests left on their way out have exited.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestSlotsDoNotShareCacheLines checks the layout the slot padding is for:
+// the state a worker writes into a slot for every offspring (the RNG and
+// its source, the mutation counters, the outcome) lies on cache lines that
+// no other slot's state touches, so two workers never write the same line.
+func TestSlotsDoNotShareCacheLines(t *testing.T) {
+	spec, n := buildCase(decoderTables())
+	opt := Options{Lambda: 16, Workers: 2}.withDefaults()
+	e, err := newEngine(newGenotype(n), NewSpecEvaluator(spec), opt, -1, spinFor(opt.Workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	owner := map[uintptr]int{}
+	for i, s := range e.slots {
+		for _, f := range []struct {
+			name string
+			at   unsafe.Pointer
+			size uintptr
+		}{
+			{"RNG source", unsafe.Pointer(&s.src), unsafe.Sizeof(s.src)},
+			{"RNG", unsafe.Pointer(&s.rng), unsafe.Sizeof(s.rng)},
+			{"MutationStats", unsafe.Pointer(&s.stat), unsafe.Sizeof(s.stat)},
+			{"outcome", unsafe.Pointer(&s.out), unsafe.Sizeof(s.out) + unsafe.Sizeof(s.done)},
+		} {
+			for line := uintptr(f.at) / cacheLine; line <= (uintptr(f.at)+f.size-1)/cacheLine; line++ {
+				if j, ok := owner[line]; ok && j != i {
+					t.Fatalf("slot %d's %s shares cache line %#x with slot %d", i, f.name, line*cacheLine, j)
+				}
+				owner[line] = i
+			}
 		}
 	}
 }

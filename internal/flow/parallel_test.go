@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -95,5 +96,42 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 	}
 	if res.Final == nil || res.Final.Validate() != nil {
 		t.Fatal("cancelled run did not return a valid circuit")
+	}
+}
+
+// TestHybridRunLeavesNoHelpers counts goroutines around a hybrid run: its
+// CGP half starts helper goroutines, which must be running during the
+// search and gone once the run returns, and the run must repeat the
+// Workers 1 run.
+func TestHybridRunLeavesNoHelpers(t *testing.T) {
+	run := func(workers int, progress func(int, core.Fitness)) *Result {
+		res, err := RunTables(bench.Decoder(2).Tables, Options{Optimizer: "hybrid", CGP: core.Options{
+			Generations: 600, Lambda: 8, MutationRate: 0.15, Seed: 11, Workers: workers,
+			ProgressEvery: 50, Progress: progress,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(1, nil)
+	base := runtime.NumGoroutine()
+	running := 0
+	got := run(4, func(int, core.Fitness) { running = max(running, runtime.NumGoroutine()-base) })
+	if running < 3 {
+		t.Fatalf("%d goroutines above the baseline during the CGP half, want at least 3 helpers", running)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the hybrid run left %d goroutines running, %d before it", runtime.NumGoroutine(), base)
+		}
+	}
+	if got.Final.String() != want.Final.String() || got.CGP.Fitness != want.CGP.Fitness {
+		t.Fatal("Workers=4 evolved another circuit than Workers=1")
+	}
+	tg, tw := got.CGP.Telemetry, want.CGP.Telemetry
+	tg.Elapsed, tw.Elapsed = 0, 0
+	if tg != tw {
+		t.Fatalf("telemetry diverged between Workers=4 and Workers=1:\n%+v\n%+v", tg, tw)
 	}
 }
